@@ -13,7 +13,7 @@
 //
 // The server generates a corpus at startup. In the default static mode
 // it then serves the corpus read-mostly (live submissions and votes are
-// still accepted: POST /api/stories, POST /api/stories/{id}/digg), with
+// still accepted: POST /v1/stories, POST /v1/stories/{id}/digg), with
 // the site clock advancing in real time from the snapshot instant so
 // the upcoming-queue view does not go stale.
 //
@@ -23,7 +23,7 @@
 // calibrated submitter mix (-submissions-per-hour, per sim-hour), and
 // the behaviour model keeps casting votes and promoting stories while
 // the server runs. Live platform events stream over SSE at
-// GET /api/stream and live metrics at GET /api/stats. On shutdown,
+// GET /v1/stream and live metrics at GET /v1/stats. On shutdown,
 // -export DIR flushes the final platform state — pregenerated corpus
 // plus everything that happened live — to dataset CSV files.
 //
@@ -512,7 +512,7 @@ func main() {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpServer.Shutdown(shutdownCtx); err != nil {
-		// Long-lived SSE streams (GET /api/stream) never finish on
+		// Long-lived SSE streams (GET /v1/stream) never finish on
 		// their own, so a connected subscriber always rides into the
 		// drain deadline. Force-close the remaining connections rather
 		// than dying: the export and final-checkpoint paths below must

@@ -66,7 +66,7 @@ func main() {
 	writeRPS := flag.Float64("write-rps", 0, "writer batch ops/sec (digg batches + submits)")
 	freshRPS := flag.Float64("freshness-rps", 0, "freshness probes/sec (submit one story, poll until the read path serves it)")
 	writeBatch := flag.Int("write-batch", 0, "diggs per write batch")
-	swarm := flag.Int("swarm", 0, "concurrent SSE streams to hold on /api/stream")
+	swarm := flag.Int("swarm", 0, "concurrent SSE streams to hold on /v1/stream")
 	swarmRPS := flag.Float64("swarm-connect-rps", 0, "SSE connection-establishment rate")
 	out := flag.String("out", "BENCH_load.json", "output file (- for stdout)")
 	notes := flag.String("notes", "", "free-form note recorded in the document")

@@ -27,8 +27,8 @@
 // serves concurrent readers — so scrapes race a genuinely evolving
 // site, the situation the paper's crawler actually faced. Typed
 // platform events (submit, digg, promote, rank-change) stream over
-// Server-Sent Events at /api/stream through a bounded fan-out bus that
-// slow subscribers cannot stall, live metrics are at /api/stats, and a
+// Server-Sent Events at /v1/stream through a bounded fan-out bus that
+// slow subscribers cannot stall, live metrics are at /v1/stats, and a
 // graceful shutdown can flush the whole run to the same dataset files
 // a batch generation produces.
 //
@@ -50,10 +50,10 @@
 // machine-readable error envelope with stable codes, opaque
 // generation-stamped cursors on every list endpoint, and batch write
 // endpoints (diggs:batch, stories:batch) that apply up to a thousand
-// votes or submissions as one write transaction — while the
-// unversioned /api/* routes remain as deprecated aliases. Golden
-// fixtures pin the wire format and CI refuses contract drift without
-// a version note in docs/api.md.
+// votes or submissions as one write transaction. It is the only HTTP
+// surface: each endpoint has one handler, one error envelope and one
+// write fence. Golden fixtures pin the wire format and CI refuses
+// contract drift without a version note in docs/api.md.
 //
 // Between the statistical core and every serving consumer sits
 // digg.Store, the command/query interface extracted from the
@@ -173,10 +173,12 @@
 // v1 client's Stream wraps into transparent reconnect-and-resume. See
 // docs/load.md.
 //
-// See README.md for the package map, DESIGN.md for the system inventory
-// and per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The benchmarks in bench_test.go regenerate one experiment
-// per paper artifact; run them with:
+// The docs/ directory documents each serving subsystem (api, load,
+// observability, persistence, replication, sharding); `go run
+// ./cmd/experiments -list` names every regenerable figure, table,
+// extension and ablation; BENCHMARK.json declares the end-to-end
+// benchmark (diggbench/). The benchmarks in bench_test.go regenerate
+// one experiment per paper artifact; run them with:
 //
 //	go test -bench=. -benchmem
 package diggsim

@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
 )
 
 // Cursor is an opaque pagination token. Clients treat it as a black
@@ -74,8 +73,16 @@ type CursorPayload struct {
 // Encode renders the payload as an opaque URL-safe token with an
 // integrity checksum.
 func (p CursorPayload) Encode() Cursor {
-	b := make([]byte, 0, 1+(4+len(p.ShardGens))*binary.MaxVarintLen64+4)
-	b = append(b, byte(p.Kind))
+	return Cursor(p.AppendEncoded(nil))
+}
+
+// AppendEncoded appends the token Encode returns to dst. The raw bytes
+// are assembled on the stack, so a server appending a cursor into a
+// pooled response buffer allocates nothing (up to eight shard
+// generations; larger vectors spill to the heap).
+func (p CursorPayload) AppendEncoded(dst []byte) []byte {
+	var raw [1 + 12*binary.MaxVarintLen64 + 4]byte
+	b := append(raw[:0], byte(p.Kind))
 	b = binary.AppendUvarint(b, p.Gen)
 	b = binary.AppendVarint(b, p.Pos)
 	b = binary.AppendUvarint(b, p.Ver)
@@ -83,10 +90,19 @@ func (p CursorPayload) Encode() Cursor {
 	for _, g := range p.ShardGens {
 		b = binary.AppendUvarint(b, g)
 	}
-	h := fnv.New32a()
-	h.Write(b)
-	b = binary.BigEndian.AppendUint32(b, h.Sum32())
-	return Cursor(base64.RawURLEncoding.EncodeToString(b))
+	b = binary.BigEndian.AppendUint32(b, fnv1a(b))
+	return base64.RawURLEncoding.AppendEncode(dst, b)
+}
+
+// fnv1a is the 32-bit FNV-1a checksum (hash/fnv's New32a), computed
+// inline so encoding never boxes a hash.Hash32.
+func fnv1a(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return h
 }
 
 // Decode parses and verifies a cursor for the given endpoint family,
@@ -98,9 +114,7 @@ func (c Cursor) Decode(kind CursorKind) (CursorPayload, error) {
 		return CursorPayload{}, ErrInvalidCursor
 	}
 	body, sum := raw[:len(raw)-4], raw[len(raw)-4:]
-	h := fnv.New32a()
-	h.Write(body)
-	if binary.BigEndian.Uint32(sum) != h.Sum32() {
+	if binary.BigEndian.Uint32(sum) != fnv1a(body) {
 		return CursorPayload{}, ErrInvalidCursor
 	}
 	p := CursorPayload{Kind: CursorKind(body[0])}

@@ -98,3 +98,30 @@ func TestCursorGarbageRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorAppendEncoded pins the append form to Encode's bytes, its
+// inline checksum to hash/fnv's, and its cost to zero allocations when
+// dst has room — the property the server's list pages rely on.
+func TestCursorAppendEncoded(t *testing.T) {
+	p := CursorPayload{Kind: CursorFrontPage, Gen: 77, Pos: 12, Ver: 4, ShardGens: []uint64{40, 37}}
+	c := p.Encode()
+	dst := make([]byte, 0, 256)
+	dst = append(dst, `"next_cursor":"`...)
+	got := p.AppendEncoded(dst)
+	if want := `"next_cursor":"` + string(c); string(got) != want {
+		t.Fatalf("AppendEncoded = %q, want %q", got, want)
+	}
+	raw, err := base64.RawURLEncoding.DecodeString(string(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed := appendChecksum(raw[:len(raw)-4]); sealed != c {
+		t.Fatalf("inline checksum disagrees with hash/fnv: %q vs %q", c, sealed)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = p.AppendEncoded(dst[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("AppendEncoded: %.1f allocs/op, want 0", allocs)
+	}
+}

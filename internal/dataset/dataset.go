@@ -1,6 +1,6 @@
 // Package dataset generates the calibrated synthetic Digg corpus used
 // by every experiment, substituting for the paper's June-2006 scrape
-// (the original dataset is unavailable; see DESIGN.md).
+// (the original dataset is unavailable).
 //
 // The generator builds a scale-free fan graph, draws submitters from a
 // heavy-tailed activity distribution (the paper: the top 3% of users

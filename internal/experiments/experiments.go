@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper
 // from a synthetic corpus, plus the §6 extension studies and the design
-// ablations listed in DESIGN.md. Each experiment renders a terminal
-// report (with ASCII figures) and returns machine-readable metrics that
-// the test suite and EXPERIMENTS.md consume.
+// ablations (`go run ./cmd/experiments -list` names them all). Each
+// experiment renders a terminal report (with ASCII figures) and returns
+// machine-readable metrics that the test suite and the benchmark's
+// paper workload (BENCHMARK.json) consume.
 package experiments
 
 import (

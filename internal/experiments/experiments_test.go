@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -76,9 +77,9 @@ func TestFig2a(t *testing.T) {
 		t.Fatal(err)
 	}
 	below, above := res.Metrics["frac_below_500"], res.Metrics["frac_above_1500"]
-	// Paper bands are ~20% each on the full corpus (checked in
-	// EXPERIMENTS.md); the small test corpus only needs the shape: both
-	// tails populated, neither dominant.
+	// Paper bands are ~20% each on the full corpus; the small test
+	// corpus only needs the shape: both tails populated, neither
+	// dominant.
 	if below <= 0 || below > 0.5 {
 		t.Errorf("frac_below_500 = %v, out of plausible band", below)
 	}
@@ -101,6 +102,24 @@ func TestFig2b(t *testing.T) {
 	// Skew: the most active voter far exceeds the median user (1 vote).
 	if res.Metrics["max_votes_by_one_user"] < 10 {
 		t.Errorf("vote activity not skewed: max = %v", res.Metrics["max_votes_by_one_user"])
+	}
+	// The science must be bit-reproducible: every rerun on the same
+	// corpus yields the same bits for every metric, the power-law
+	// exponent included (its fit sums in input order).
+	for i := 0; i < 5; i++ {
+		again, err := getRunner(t).Run("fig2b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again.Metrics) != len(res.Metrics) {
+			t.Fatalf("rerun %d: %d metrics, want %d", i, len(again.Metrics), len(res.Metrics))
+		}
+		for name, v := range res.Metrics {
+			if got := again.Metrics[name]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Errorf("rerun %d: %s = %v (bits %#x), want %v (bits %#x)",
+					i, name, got, math.Float64bits(got), v, math.Float64bits(v))
+			}
+		}
 	}
 }
 

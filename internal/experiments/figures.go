@@ -155,6 +155,9 @@ func fig2b(r *Runner) (Result, error) {
 	for _, c := range votesBy {
 		voteTail = append(voteTail, float64(c))
 	}
+	// Map order is random and the fit sums in input order: sort so the
+	// exponent is bit-reproducible across runs.
+	sort.Float64s(voteTail)
 	fit, err := stats.FitPowerLawAuto(voteTail)
 	if err == nil {
 		res.metric("vote_powerlaw_alpha", fit.Alpha)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
 	"diggsim/internal/durable"
 	"diggsim/internal/graph"
@@ -95,10 +96,10 @@ func benchServe(b *testing.B, h http.Handler, paths []string) {
 
 // readMix is the scraper-shaped hot-path mix.
 var readMix = []string{
-	"/api/frontpage?limit=15",
-	"/api/upcoming?limit=15",
-	"/api/stories/42",
-	"/api/users/7",
+	"/v1/frontpage?limit=15",
+	"/v1/upcoming?limit=15",
+	"/v1/stories/42",
+	"/v1/users/7",
 }
 
 // BenchmarkServedReads measures read-handler throughput on a static
@@ -212,7 +213,7 @@ func BenchmarkServedReadsWhileLive(b *testing.B) {
 func BenchmarkFrontPageHandler(b *testing.B) {
 	p := benchPlatform(b)
 	srv := NewServer(p, 400, nil)
-	benchServe(b, srv.Handler(), []string{"/api/frontpage?limit=15"})
+	benchServe(b, srv.Handler(), []string{"/v1/frontpage?limit=15"})
 }
 
 // BenchmarkUpcomingHandler isolates the upcoming queue (limit within
@@ -220,14 +221,16 @@ func BenchmarkFrontPageHandler(b *testing.B) {
 func BenchmarkUpcomingHandler(b *testing.B) {
 	p := benchPlatform(b)
 	srv := NewServer(p, 400, nil)
-	benchServe(b, srv.Handler(), []string{"/api/upcoming?limit=15"})
+	benchServe(b, srv.Handler(), []string{"/v1/upcoming?limit=15"})
 }
 
-// BenchmarkStoryListHandler isolates the paginated story listing.
+// BenchmarkStoryListHandler isolates the paginated story listing: a
+// 50-story page resumed from a cursor at position 100.
 func BenchmarkStoryListHandler(b *testing.B) {
 	p := benchPlatform(b)
 	srv := NewServer(p, 400, nil)
-	benchServe(b, srv.Handler(), []string{"/api/stories?offset=100&limit=50"})
+	cursor := apiv1.CursorPayload{Kind: apiv1.CursorStories, Gen: p.Generation(), Pos: 100}.Encode()
+	benchServe(b, srv.Handler(), []string{"/v1/stories?limit=50&cursor=" + string(cursor)})
 }
 
 // BenchmarkStoryDetailHandler isolates the story detail endpoint
@@ -235,7 +238,7 @@ func BenchmarkStoryListHandler(b *testing.B) {
 func BenchmarkStoryDetailHandler(b *testing.B) {
 	p := benchPlatform(b)
 	srv := NewServer(p, 400, nil)
-	benchServe(b, srv.Handler(), []string{"/api/stories/42"})
+	benchServe(b, srv.Handler(), []string{"/v1/stories/42"})
 }
 
 // BenchmarkFrontPageHandlerWhileLive is the front-page endpoint under
@@ -265,7 +268,7 @@ func BenchmarkFrontPageHandlerWhileLive(b *testing.B) {
 			}
 		}
 	}()
-	benchServe(b, srv.Handler(), []string{"/api/frontpage?limit=15"})
+	benchServe(b, srv.Handler(), []string{"/v1/frontpage?limit=15"})
 	b.StopTimer()
 	close(stop)
 	<-writerDone

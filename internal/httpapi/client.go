@@ -247,9 +247,9 @@ func (c *Client) storeETag(path, etag string, body []byte) {
 	c.etagMu.Unlock()
 }
 
-// decodeResponse turns a response into out or a typed *apiv1.Error.
-// It understands both the v1 error envelope and the legacy string
-// envelope, and serves 304 revalidations from the client's ETag cache.
+// decodeResponse turns a response into out or a typed *apiv1.Error
+// (see errorFromBody), and serves 304 revalidations from the client's
+// ETag cache.
 func (c *Client) decodeResponse(path string, resp *http.Response, cached etagEntry, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified && cached.etag != "" {
@@ -281,8 +281,8 @@ func (c *Client) decodeResponse(path string, resp *http.Response, cached etagEnt
 }
 
 // errorFromBody builds the typed error from a non-2xx body: the v1
-// envelope when present, the legacy string envelope or raw text
-// otherwise.
+// envelope when present, the raw text otherwise (plain-text replies
+// such as /readyz and the router's own 404/405).
 func errorFromBody(resp *http.Response, data []byte) *apiv1.Error {
 	var env apiv1.ErrorEnvelope
 	if json.Unmarshal(data, &env) == nil && env.Error != nil && env.Error.Code != "" {
@@ -294,15 +294,10 @@ func errorFromBody(resp *http.Response, data []byte) *apiv1.Error {
 		e.TraceID = resp.Header.Get("X-Trace-Id")
 		return e
 	}
-	var legacy ErrorResponse
-	msg := string(data)
-	if json.Unmarshal(data, &legacy) == nil && legacy.Error != "" {
-		msg = legacy.Error
-	}
 	return &apiv1.Error{
 		StatusCode: resp.StatusCode,
 		Code:       codeForStatus(resp.StatusCode),
-		Message:    msg,
+		Message:    string(data),
 		RetryAfter: retryAfterHeader(resp),
 		TraceID:    resp.Header.Get("X-Trace-Id"),
 	}
@@ -317,7 +312,7 @@ func retryAfterHeader(resp *http.Response) int {
 	return 0
 }
 
-// codeForStatus gives legacy (enveloped-string) errors a best-effort
+// codeForStatus gives envelope-less (plain-text) errors a best-effort
 // stable code so errors.As dispatch works uniformly.
 func codeForStatus(status int) string {
 	switch status {

@@ -2,12 +2,14 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
 	"diggsim/internal/graph"
 )
@@ -161,23 +163,21 @@ func TestErrorStatuses(t *testing.T) {
 	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad submitter err = %v", err)
 	}
-	// Bad limit query: 400.
-	resp, err := http.Get(c.BaseURL + "/api/frontpage?limit=zebra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad query status = %d", resp.StatusCode)
-	}
-	// Bad path id: 400.
-	resp, err = http.Get(c.BaseURL + "/api/stories/abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad id status = %d", resp.StatusCode)
+	// Bad limit query and bad path id: 400 invalid_argument.
+	for _, path := range []string{"/v1/frontpage?limit=zebra", "/v1/stories/abc"} {
+		resp, err := http.Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env apiv1.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error envelope: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != apiv1.CodeInvalidArgument {
+			t.Errorf("%s = %d %+v, want 400 %s", path, resp.StatusCode, env.Error, apiv1.CodeInvalidArgument)
+		}
 	}
 }
 

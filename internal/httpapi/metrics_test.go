@@ -65,8 +65,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 	// digg drives the bulk write path (per-shard apply + WAL append +
 	// fsync) and triggers a snapshot rebuild; the checkpoint drives the
 	// durable build/write pair.
-	do(http.MethodGet, "/api/frontpage?limit=5", "", http.StatusOK)
-	do(http.MethodGet, "/api/stories/0", "", http.StatusOK)
+	do(http.MethodGet, "/v1/frontpage?limit=5", "", http.StatusOK)
+	do(http.MethodGet, "/v1/stories/0", "", http.StatusOK)
 	do(http.MethodPost, "/v1/diggs:batch",
 		`{"diggs":[{"story":0,"voter":1,"at":20},{"story":1,"voter":2,"at":21},{"story":2,"voter":3,"at":22}]}`,
 		http.StatusOK)

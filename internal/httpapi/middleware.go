@@ -48,7 +48,7 @@ func (s *statusWriter) Write(b []byte) (int, error) {
 }
 
 // Flush forwards to the underlying writer so streaming responses
-// (the /api/stream SSE feed) keep working behind the logging and
+// (the /v1/stream SSE feed) keep working behind the logging and
 // metrics middleware.
 func (s *statusWriter) Flush() {
 	if f, ok := s.ResponseWriter.(http.Flusher); ok {
@@ -173,7 +173,7 @@ func (l *RateLimiter) Middleware(next http.Handler) http.Handler {
 }
 
 // Metrics counts served requests with plain atomics — no lock at all,
-// so the read-heavy request path and /api/stats scrapes never contend.
+// so the read-heavy request path and /v1/stats scrapes never contend.
 // Attach to a Server with AttachMetrics to surface the counters.
 type Metrics struct {
 	requests atomic.Uint64

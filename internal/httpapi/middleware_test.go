@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"diggsim/internal/apiv1"
 )
 
 func TestLoggingMiddleware(t *testing.T) {
@@ -151,7 +153,7 @@ func TestClientRetriesOn429(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) < 3 {
-			writeError(w, http.StatusTooManyRequests, "slow down")
+			writeV1Error(w, v1Err(http.StatusTooManyRequests, apiv1.CodeRateLimited, "slow down"))
 			return
 		}
 		w.WriteHeader(http.StatusOK)
@@ -219,15 +221,6 @@ func TestStoryListPagination(t *testing.T) {
 		if id != i {
 			t.Fatalf("iterator order = %v", ids)
 		}
-	}
-	// Legacy alias still rejects negative offsets.
-	resp, err := http.Get(c.BaseURL + "/api/stories?offset=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative offset status = %d", resp.StatusCode)
 	}
 }
 

@@ -53,9 +53,8 @@ var (
 )
 
 // routeHist returns the request-latency histogram of one route class.
-// Both API generations of an endpoint (/api/* alias and /v1/*) share a
-// class: they serve the same read path, and the class cardinality is
-// what an operator dashboards by.
+// Classes name endpoints, not paths (the fans and friends lists share
+// "links"): the class cardinality is what an operator dashboards by.
 func routeHist(class string) *obs.Histogram {
 	return obs.Default.Histogram("diggsim_http_request_seconds",
 		`route="`+class+`"`, "HTTP request latency by route class.")

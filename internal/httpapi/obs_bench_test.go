@@ -14,25 +14,41 @@ import (
 // TestFrontPageHandlerZeroAlloc is the CI-enforceable form of the
 // acceptance bar BenchmarkFrontPageHandler reports: the instrumented
 // snapshot read path — router, timed() wrapper, handler — must stay
-// allocation-free. A regression here means per-request garbage crept
-// into the hot path (the instrumentation budget is two monotonic
+// allocation-free on the first page of every list endpoint, including
+// minting its next cursor. A regression here means per-request garbage
+// crept into the hot path (the instrumentation budget is two monotonic
 // clock reads and two atomic adds, nothing heap-bound).
 func TestFrontPageHandlerZeroAlloc(t *testing.T) {
 	p := benchPlatform(t)
 	srv := NewServer(p, 400, nil)
 	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/api/frontpage?limit=15", nil)
-	w := &benchWriter{h: make(http.Header, 4)}
-	h.ServeHTTP(w, req) // warm caches and lazy snapshot state
-	allocs := testing.AllocsPerRun(200, func() {
-		w.reset()
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("front-page read path: %.1f allocs/op, want 0", allocs)
+	for _, path := range []string{
+		"/v1/frontpage?limit=15",
+		"/v1/upcoming?limit=15",
+		"/v1/stories?limit=50",
+		"/v1/topusers?limit=15",
+	} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			// Warm caches and lazy snapshot state, and make sure the page
+			// really mints a cursor: the costly part this guard covers.
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"next_cursor":"`) {
+				t.Fatalf("warm-up: status %d, body %s", rec.Code, rec.Body)
+			}
+			w := &benchWriter{h: make(http.Header, 4)}
+			allocs := testing.AllocsPerRun(200, func() {
+				w.reset()
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					t.Fatalf("status %d", w.status)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %.1f allocs/op, want 0", path, allocs)
+			}
+		})
 	}
 }
 

@@ -71,17 +71,6 @@ func (s *Server) fenceV1(w http.ResponseWriter) bool {
 	return true
 }
 
-// fence rejects the write with the legacy string-error envelope when
-// this node is a read-only follower. Returns true when fenced.
-func (s *Server) fence(w http.ResponseWriter) bool {
-	if !s.replReadOnly() {
-		return false
-	}
-	writeError(w, http.StatusServiceUnavailable,
-		"this node is a read-only follower; write to the primary")
-	return true
-}
-
 // lagHeaderTTL bounds how often the X-Replica-Lag value is
 // reformatted. The header is advisory with heartbeat-interval
 // resolution; formatting a float and re-inserting a canonicalized

@@ -8,7 +8,6 @@ package httpapi
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -264,22 +263,6 @@ func TestFollowerFencesWrites(t *testing.T) {
 		Stories: []apiv1.SubmitRequest{{Submitter: 0, Title: "x", At: 999}},
 	})
 	wantFenced(err)
-
-	// Legacy write endpoints fence too, in the legacy envelope.
-	for _, ep := range []string{"/api/stories", "/api/stories/0/digg"} {
-		resp, err := http.Post(h.apiTS.URL+ep, "application/json", strings.NewReader(`{}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var legacy ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-			t.Fatalf("POST %s: decoding body: %v", ep, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable || legacy.Error == "" {
-			t.Fatalf("POST %s = %d %q", ep, resp.StatusCode, legacy.Error)
-		}
-	}
 
 	// Nothing leaked through the fence.
 	h.srv.mu.RLock()

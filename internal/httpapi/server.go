@@ -2,10 +2,8 @@ package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -17,8 +15,7 @@ import (
 )
 
 // Server serves a digg.Store over HTTP/JSON: the versioned /v1/*
-// surface (see v1.go and internal/apiv1) plus the deprecated /api/*
-// compatibility aliases.
+// surface (see v1.go and internal/apiv1).
 //
 // Reads and writes travel different paths. The hot read endpoints are
 // lock-free: they serve pre-serialized JSON from an immutable ReadView
@@ -193,10 +190,11 @@ func (s *Server) clock() digg.Minutes {
 }
 
 // Handler publishes the initial read snapshot and returns the HTTP
-// routing table: the versioned /v1/* surface plus the deprecated
-// /api/* aliases. Every non-streaming route is wrapped in its route
-// class's latency histogram (see obs.go); the /api/* alias and /v1/*
-// form of an endpoint share a class.
+// routing table: the versioned /v1/* surface plus the health, metrics
+// and debug endpoints. Every non-streaming route is wrapped in its
+// route class's latency histogram (see obs.go). Because the snapshot
+// is published before any request can arrive, read handlers never see
+// a nil view.
 func (s *Server) Handler() http.Handler {
 	s.republish()
 	mux := http.NewServeMux()
@@ -209,23 +207,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/obs", s.handleObsDump)
 	if s.timeline != nil {
 		mux.HandleFunc("GET /debug/timeline", s.handleTimeline)
-	}
-	// Deprecated unversioned aliases (offset/limit, string errors).
-	mux.HandleFunc("GET /api/frontpage", timed("frontpage", s.handleFrontPage))
-	mux.HandleFunc("GET /api/stories", timed("stories", s.handleStoryList))
-	mux.HandleFunc("GET /api/upcoming", timed("upcoming", s.handleUpcoming))
-	mux.HandleFunc("GET /api/stories/{id}", timed("story", s.handleStory))
-	mux.HandleFunc("POST /api/stories", timed("submit", s.handleSubmit))
-	mux.HandleFunc("POST /api/stories/{id}/digg", timed("digg", s.handleDigg))
-	mux.HandleFunc("GET /api/users/{id}", timed("user", s.handleUser))
-	mux.HandleFunc("GET /api/users/{id}/fans", timed("links", s.handleFans))
-	mux.HandleFunc("GET /api/users/{id}/friends", timed("links", s.handleFriends))
-	mux.HandleFunc("GET /api/topusers", timed("topusers", s.handleTopUsers))
-	mux.HandleFunc("GET /api/stats", timed("stats", s.handleStats))
-	if s.live != nil {
-		// The SSE stream is long-lived; its duration is connection
-		// lifetime, not serving latency, so it stays uninstrumented.
-		mux.HandleFunc("GET /api/stream", s.handleStream)
 	}
 	if s.replSrc != nil {
 		// The node's own replication surface: streaming for followers,
@@ -245,280 +226,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
-}
-
-// writeRaw sends pre-encoded JSON chunks with zero per-request header
+// writeRaw sends a pre-encoded JSON body with zero per-request header
 // allocations (the shared value slice is assigned, not copied).
-func writeRaw(w http.ResponseWriter, chunks ...[]byte) {
+func writeRaw(w http.ResponseWriter, body []byte) {
 	w.Header()["Content-Type"] = headerJSON
 	w.WriteHeader(http.StatusOK)
-	for _, c := range chunks {
-		_, _ = w.Write(c)
-	}
-}
-
-func pathID(r *http.Request) (int, error) {
-	raw := r.PathValue("id")
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("invalid id %q", raw)
-	}
-	return v, nil
-}
-
-func (s *Server) handleFrontPage(w http.ResponseWriter, r *http.Request) {
-	limit, err := queryIntRaw(r.URL.RawQuery, "limit", 15)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	view := s.snap.view.Load()
-	rendered := 0
-	if view != nil {
-		rendered = len(view.fpEnds)
-	}
-	if view == nil || (view.fpTotal > rendered && (limit <= 0 || limit > rendered)) {
-		s.frontPageLocked(w, limit)
-		return
-	}
-	h := w.Header()
-	h["Etag"] = view.etag
-	h["Cache-Control"] = headerRevalidate
-	if etagMatches(r.Header.Get("If-None-Match"), view.etagStr) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	h["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	if limit <= 0 || limit >= rendered {
-		_, _ = w.Write(view.fpBuf)
-		return
-	}
-	_, _ = w.Write(view.fpBuf[:view.fpEnds[limit-1]])
-	_, _ = w.Write(bracketClose)
-}
-
-// frontPageLocked is the point-in-time fallback for limits past the
-// snapshot's pre-rendered depth.
-func (s *Server) frontPageLocked(w http.ResponseWriter, limit int) {
-	s.mu.RLock()
-	stories := s.store.FrontPage(limit)
-	out := make([]StorySummary, len(stories))
-	for i, st := range stories {
-		out[i] = summarize(st)
-	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleUpcoming(w http.ResponseWriter, r *http.Request) {
-	limit, err := queryIntRaw(r.URL.RawQuery, "limit", 15)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	now := s.clock()
-	view := s.snap.view.Load()
-	if view == nil {
-		s.upcomingLocked(w, now, limit)
-		return
-	}
-	// The visibility filter runs at serve time: pre-rendered entries
-	// submitted after the current clock are skipped, so a static
-	// server's queue evolves with wall time without republication.
-	entries := view.upEntries
-	visible := 0
-	for i := range entries {
-		if entries[i].submittedAt <= int64(now) {
-			visible++
-		}
-	}
-	skipped := visible < len(entries)
-	serveN := visible
-	if limit > 0 && limit < serveN {
-		serveN = limit
-	}
-	// If the pre-rendered window cannot satisfy the request (deeper
-	// entries exist on the platform), fall back to the locked scan.
-	if len(entries) < view.upTotal && (limit <= 0 || serveN < limit) {
-		s.upcomingLocked(w, now, limit)
-		return
-	}
-	h := w.Header()
-	if !skipped {
-		// The rendered queue only changes with the platform generation
-		// while no future-dated entries are pending, so the snapshot
-		// ETag is a valid strong validator.
-		h["Etag"] = view.etag
-		h["Cache-Control"] = headerRevalidate
-		if etagMatches(r.Header.Get("If-None-Match"), view.etagStr) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	h["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	if !skipped && serveN >= len(entries) {
-		_, _ = w.Write(view.upBuf)
-		return
-	}
-	if serveN == 0 {
-		_, _ = w.Write(emptyArray)
-		return
-	}
-	_, _ = w.Write(bracketOpen)
-	written := 0
-	for i := range entries {
-		if entries[i].submittedAt > int64(now) {
-			continue
-		}
-		if written > 0 {
-			_, _ = w.Write(commaSep)
-		}
-		_, _ = w.Write(view.upBuf[entries[i].start:entries[i].end])
-		written++
-		if written >= serveN {
-			break
-		}
-	}
-	_, _ = w.Write(bracketClose)
-}
-
-func (s *Server) upcomingLocked(w http.ResponseWriter, now digg.Minutes, limit int) {
-	s.mu.RLock()
-	stories := s.store.Upcoming(now, limit)
-	out := make([]StorySummary, len(stories))
-	for i, st := range stories {
-		out[i] = summarize(st)
-	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleStoryList serves a paginated listing of every story in
-// submission order: GET /api/stories?offset=0&limit=50 (deprecated;
-// /v1/stories paginates with cursors).
-func (s *Server) handleStoryList(w http.ResponseWriter, r *http.Request) {
-	offset, err := queryIntRaw(r.URL.RawQuery, "offset", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	limit, err := queryIntRaw(r.URL.RawQuery, "limit", 50)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if offset < 0 || limit < 0 {
-		writeError(w, http.StatusBadRequest, "offset and limit must be non-negative")
-		return
-	}
-	if limit > 1000 {
-		limit = 1000
-	}
-	view := s.snap.view.Load()
-	if view == nil {
-		s.storyListLocked(w, offset, limit)
-		return
-	}
-	s.storyListFromView(w, view, offset, limit)
-}
-
-// storyListFromView cuts an offset/limit page entirely from one
-// published view, so total and stories always describe the same
-// generation.
-func (s *Server) storyListFromView(w http.ResponseWriter, view *ReadView, offset, limit int) {
-	total := len(view.summaries)
-	bp := encBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, `{"total":`...)
-	b = strconv.AppendInt(b, int64(total), 10)
-	b = append(b, `,"offset":`...)
-	b = strconv.AppendInt(b, int64(offset), 10)
-	b = append(b, `,"stories":`...)
-	if offset < total {
-		end := offset + limit
-		if end > total {
-			end = total
-		}
-		b = append(b, '[')
-		for i := offset; i < end; i++ {
-			if i > offset {
-				b = append(b, ',')
-			}
-			b = append(b, view.summaries[i]...)
-		}
-		b = append(b, ']')
-	} else {
-		b = append(b, `null`...)
-	}
-	b = append(b, '}')
-	writeRaw(w, b)
-	*bp = b[:0]
-	encBufPool.Put(bp)
-}
-
-// storyListLocked is the fallback when no snapshot is published yet.
-// Under the live writer the snapshot and locked paths can disagree on
-// the story count, so a page is never assembled from a mix of the two:
-// if a view at the current platform generation exists by the time the
-// lock is held (published between the caller's nil load and the lock
-// acquisition), the whole page is re-served from that view; otherwise
-// total and stories both come from one point-in-time read under a
-// single RLock.
-func (s *Server) storyListLocked(w http.ResponseWriter, offset, limit int) {
-	s.mu.RLock()
-	if view := s.snap.view.Load(); view != nil && view.Gen == s.store.Generation() {
-		s.mu.RUnlock()
-		s.storyListFromView(w, view, offset, limit)
-		return
-	}
-	all := s.store.Stories()
-	var page StoryPage
-	page.Total = len(all)
-	page.Offset = offset
-	if offset < len(all) {
-		end := offset + limit
-		if end > len(all) {
-			end = len(all)
-		}
-		page.Stories = make([]StorySummary, 0, end-offset)
-		for _, st := range all[offset:end] {
-			page.Stories = append(page.Stories, summarize(st))
-		}
-	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, page)
-}
-
-func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	buf, ok, err := s.storyDetailBytes(digg.StoryID(id))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if ok {
-		writeRaw(w, buf)
-		return
-	}
-	s.storyLocked(w, digg.StoryID(id))
+	_, _ = w.Write(body)
 }
 
 // storyDetailBytes serves a story's detail JSON from the per-(story,
 // version) cache, encoding and caching on miss. ok reports whether the
-// snapshot path could answer; when false (no view yet, or a story
-// newer than the slab) the caller should use its locked fallback.
+// snapshot path could answer; when false (a story newer than the
+// published view) the caller should use its locked fallback.
 func (s *Server) storyDetailBytes(id digg.StoryID) (buf []byte, ok bool, err error) {
 	view := s.snap.view.Load()
 	slab := s.snap.details.Load()
-	if view == nil || slab == nil || int(id) >= len(view.storyVer) || int(id) >= len(slab.slots) {
+	if int(id) >= len(view.storyVer) || int(id) >= len(slab.slots) {
 		return nil, false, nil
 	}
 	slot := slab.slots[id]
@@ -538,38 +261,6 @@ func (s *Server) storyDetailBytes(id digg.StoryID) (buf []byte, ok bool, err err
 	s.mu.RUnlock()
 	slot.Store(&detailEntry{ver: ver, buf: buf})
 	return buf, true, nil
-}
-
-func (s *Server) storyLocked(w http.ResponseWriter, id digg.StoryID) {
-	s.mu.RLock()
-	st, err := s.store.Story(id)
-	var out StoryDetail
-	if err == nil {
-		out = detail(st)
-	}
-	s.mu.RUnlock()
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.fence(w) {
-		return
-	}
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	st, err := s.submit(req, requestTraceID(r))
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, st)
 }
 
 // submit performs one submission write and republishes the snapshot,
@@ -596,28 +287,6 @@ func (s *Server) submit(req SubmitRequest, trace uint64) (StoryDetail, error) {
 	return out, nil
 }
 
-func (s *Server) handleDigg(w http.ResponseWriter, r *http.Request) {
-	if s.fence(w) {
-		return
-	}
-	id, err := pathID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var req DiggRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	res, err := s.digg(digg.StoryID(id), req, requestTraceID(r))
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
 // digg performs one vote write and republishes the snapshot, observing
 // the accept→front-page-visible freshness span.
 func (s *Server) digg(id digg.StoryID, req DiggRequest, trace uint64) (DiggResponse, error) {
@@ -638,26 +307,10 @@ func (s *Server) digg(id digg.StoryID, req DiggRequest, trace uint64) (DiggRespo
 	return DiggResponse{InNetwork: res.InNetwork, Promoted: res.Promoted, Votes: res.Votes}, nil
 }
 
-func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	bp, buf, ok := s.userInfoBytes(digg.UserID(id))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such user")
-		return
-	}
-	writeRaw(w, buf)
-	*bp = buf[:0]
-	encBufPool.Put(bp)
-}
-
 // userInfoBytes renders a user profile into a pooled buffer. The
-// caller must return it with *bp = buf[:0]; encBufPool.Put(bp) after
-// writing (the pooled pointer rides along so no fresh *[]byte header
-// is allocated per request). ok is false for unknown users.
+// caller must return it with putBuf(bp, buf) after writing (the pooled
+// pointer rides along so no fresh *[]byte header is allocated per
+// request). ok is false for unknown users.
 func (s *Server) userInfoBytes(u digg.UserID) (bp *[]byte, buf []byte, ok bool) {
 	// The social graph is immutable once built, so degree lookups need
 	// no lock at all.
@@ -666,29 +319,13 @@ func (s *Server) userInfoBytes(u digg.UserID) (bp *[]byte, buf []byte, ok bool) 
 		return nil, nil, false
 	}
 	var rank int
-	view := s.snap.view.Load()
-	switch {
-	case s.storeRanks && view != nil:
-		rank = view.ranks[u]
-	case s.storeRanks:
-		// No snapshot yet: the platform rank cache fill reads promotion
-		// state, so exclude mutators.
-		s.mu.RLock()
-		rank = s.rankOf(u)
-		s.mu.RUnlock()
-	default:
+	if s.storeRanks {
+		rank = s.snap.view.Load().ranks[u]
+	} else {
 		rank = s.rankOf(u)
 	}
 	bp = encBufPool.Get().(*[]byte)
 	return bp, appendUserInfo((*bp)[:0], u, g.InDegree(u), g.OutDegree(u), rank), true
-}
-
-func (s *Server) handleFans(w http.ResponseWriter, r *http.Request) {
-	s.handleLinks(w, r, true)
-}
-
-func (s *Server) handleFriends(w http.ResponseWriter, r *http.Request) {
-	s.handleLinks(w, r, false)
 }
 
 // links returns the fan or friend list of u from the immutable graph
@@ -702,67 +339,4 @@ func (s *Server) links(u digg.UserID, fans bool) ([]digg.UserID, bool) {
 		return g.Fans(u), true
 	}
 	return g.Friends(u), true
-}
-
-func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request, fans bool) {
-	id, err := pathID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	u := digg.UserID(id)
-	links, ok := s.links(u, fans)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such user")
-		return
-	}
-	writeJSON(w, http.StatusOK, UserLinks{ID: u, Users: links})
-}
-
-func (s *Server) handleTopUsers(w http.ResponseWriter, r *http.Request) {
-	limit, err := queryIntRaw(r.URL.RawQuery, "limit", 100)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if limit <= 0 { // digg.Platform.TopUsers treats k <= 0 as "none"
-		writeRaw(w, emptyArray)
-		return
-	}
-	view := s.snap.view.Load()
-	rendered := 0
-	if view != nil {
-		rendered = len(view.topEnds)
-	}
-	if view == nil || (view.topTotal > rendered && limit > rendered) {
-		s.topUsersLocked(w, limit)
-		return
-	}
-	if limit >= rendered {
-		writeRaw(w, view.topBuf)
-		return
-	}
-	writeRaw(w, view.topBuf[:view.topEnds[limit-1]], bracketClose)
-}
-
-func (s *Server) topUsersLocked(w http.ResponseWriter, limit int) {
-	s.mu.RLock()
-	users := s.store.TopUsers(limit)
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, users)
-}
-
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, digg.ErrUnknownUser):
-		return http.StatusBadRequest
-	case errors.Is(err, digg.ErrAlreadyVoted):
-		return http.StatusConflict
-	case errors.Is(err, digg.ErrStoryCompacted):
-		return http.StatusGone
-	case errors.Is(err, digg.ErrNoStory):
-		return http.StatusNotFound
-	default:
-		return http.StatusInternalServerError
-	}
 }

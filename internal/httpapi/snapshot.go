@@ -1,7 +1,7 @@
 package httpapi
 
 // snapshot.go implements the lock-free read path. The write side
-// (handleSubmit/handleDigg, the live service's tick hook, Handler at
+// (the /v1 write handlers, the live service's tick hook, Handler at
 // startup) calls Server.republish, which rebuilds an immutable
 // ReadView under the platform read lock and publishes it through an
 // atomic.Pointer. Hot read handlers load the pointer and write
@@ -194,7 +194,7 @@ func (st *snapshotStore) build(p digg.Store, gen uint64) *ReadView {
 	v.upBuf, _ = buildQueue(v.summaries, upcoming, &v.upEntries)
 
 	// Reputation: ranked ids pre-rendered, rank map shared for
-	// lock-free /api/users lookups.
+	// lock-free /v1/users lookups.
 	v.ranks = p.Ranks()
 	v.topTotal = len(v.ranks)
 	top := p.TopUsers(maxRenderTop)
@@ -263,28 +263,33 @@ func buildQueue(summaries [][]byte, stories []*digg.Story, entries *[]queueEntry
 	return buf, ends
 }
 
-// Shared header values and byte fragments, assigned directly into the
-// header map so hot handlers allocate nothing per request.
+// Shared header values, assigned directly into the header map so hot
+// handlers allocate nothing per request.
 var (
 	headerJSON = []string{"application/json"}
 	// headerRevalidate lets clients cache queue pages but revalidate
 	// with If-None-Match on every reuse: a scraper's repeated crawls
 	// of an unchanged page cost a 304, not a re-download.
 	headerRevalidate = []string{"no-cache"}
-	bracketOpen      = []byte{'['}
-	bracketClose     = []byte{']'}
-	commaSep         = []byte{','}
-	emptyArray       = []byte("[]")
 )
 
 // encBufPool recycles scratch buffers for handlers that assemble a
-// response from snapshot fragments plus per-request numbers (story
-// pages, user profiles).
+// response from snapshot fragments plus per-request numbers (list
+// pages, user profiles). A fresh buffer holds a default-size stories
+// page (50 summaries) without growing, so a pool miss (after a GC, or
+// the race detector's random drops) costs only the buffer itself.
 var encBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, 4096)
+		b := make([]byte, 0, 16<<10)
 		return &b
 	},
+}
+
+// putBuf returns a buffer taken from encBufPool, keeping whatever
+// capacity b grew to.
+func putBuf(bp *[]byte, b []byte) {
+	*bp = b[:0]
+	encBufPool.Put(bp)
 }
 
 // queryIntRaw parses an integer query parameter straight from the raw
@@ -292,30 +297,20 @@ var encBufPool = sync.Pool{
 // build a map per request). Percent-encoded values take the rare slow
 // path through url.QueryUnescape so legal encodings keep parsing.
 func queryIntRaw(rawQuery, key string, def int) (int, error) {
-	for len(rawQuery) > 0 {
-		var seg string
-		if i := strings.IndexByte(rawQuery, '&'); i >= 0 {
-			seg, rawQuery = rawQuery[:i], rawQuery[i+1:]
-		} else {
-			seg, rawQuery = rawQuery, ""
-		}
-		eq := strings.IndexByte(seg, '=')
-		if eq < 0 || seg[:eq] != key {
-			continue
-		}
-		val := seg[eq+1:]
-		if strings.ContainsAny(val, "%+") {
-			if dec, err := url.QueryUnescape(val); err == nil {
-				val = dec
-			}
-		}
-		v, err := strconv.Atoi(val)
-		if err != nil {
-			return 0, fmt.Errorf("invalid %s: %q", key, val)
-		}
-		return v, nil
+	val, ok := queryRaw(rawQuery, key)
+	if !ok {
+		return def, nil
 	}
-	return def, nil
+	if strings.ContainsAny(val, "%+") {
+		if dec, err := url.QueryUnescape(val); err == nil {
+			val = dec
+		}
+	}
+	v, err := strconv.Atoi(val)
+	if err != nil {
+		return 0, fmt.Errorf("invalid %s: %q", key, val)
+	}
+	return v, nil
 }
 
 // etagMatches reports whether the If-None-Match header value names

@@ -106,7 +106,18 @@ func TestEtagMatches(t *testing.T) {
 func TestConditionalGet(t *testing.T) {
 	_, ts, c := newTestServer(t)
 	ctx := context.Background()
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "a", At: 10}); err != nil {
+	// One promoted story (threshold 3: the submitter's vote plus two)
+	// and one upcoming, so both queues serve a non-empty first page.
+	st, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "a", At: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, voter := range []digg.UserID{1, 5} {
+		if _, err := c.Digg(ctx, st.ID, DiggRequest{Voter: voter, At: int64(11 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "b", At: 10}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +138,7 @@ func TestConditionalGet(t *testing.T) {
 		return resp
 	}
 
-	for _, path := range []string{"/api/frontpage?limit=10", "/api/upcoming?limit=10"} {
+	for _, path := range []string{"/v1/frontpage?limit=10", "/v1/upcoming?limit=10"} {
 		resp := get(path, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
@@ -263,11 +274,11 @@ func TestSnapshotFallbackBeyondRenderDepth(t *testing.T) {
 
 // TestSnapshotConsistencyUnderLiveWrites is the torn-read regression
 // test: while the live simulation writer continuously mutates the
-// platform, every front page served must be byte-identical to some
-// atomically published snapshot (identified by its generation ETag),
-// and the generations observed by any single client must be
-// monotonically non-decreasing. Run with -race this also checks the
-// locking discipline of the publish path.
+// platform, the stories array of every front page served must be
+// byte-identical to some atomically published snapshot (identified by
+// its generation ETag), and the generations observed by any single
+// client must be monotonically non-decreasing. Run with -race this
+// also checks the locking discipline of the publish path.
 func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 	g, err := graph.PreferentialAttachment(rng.New(7), 1500, 4, 0.3)
 	if err != nil {
@@ -346,7 +357,7 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 			client := &http.Client{}
 			lastGen := uint64(0)
 			for i := 0; i < 150; i++ {
-				resp, err := client.Get(ts.URL + "/api/frontpage?limit=" + strconv.Itoa(limit))
+				resp, err := client.Get(ts.URL + "/v1/frontpage?limit=" + strconv.Itoa(limit))
 				if err != nil {
 					errs <- err
 					return
@@ -359,7 +370,7 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 				}
 				etag := resp.Header.Get("ETag")
 				if etag == "" {
-					continue // locked fallback (front page outgrew the render depth)
+					continue // empty front page: no generation-stamped body
 				}
 				gen, err := strconv.ParseUint(strings.Trim(etag, `"g`), 10, 64)
 				if err != nil {
@@ -378,8 +389,13 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 					errs <- fmt.Errorf("served generation %d was never published", gen)
 					return
 				}
-				if want := render(pub); string(body) != want {
-					errs <- fmt.Errorf("torn read at generation %d:\n got %s\nwant %s", gen, body, want)
+				var page struct{ Stories json.RawMessage }
+				if err := json.Unmarshal(body, &page); err != nil {
+					errs <- fmt.Errorf("undecodable page at generation %d: %v", gen, err)
+					return
+				}
+				if want := render(pub); string(page.Stories) != want {
+					errs <- fmt.Errorf("torn read at generation %d:\n got %s\nwant %s", gen, page.Stories, want)
 					return
 				}
 				etagged.Add(1)

@@ -1,7 +1,7 @@
 package httpapi
 
 // stream.go serves the live event feed and the live-metrics endpoint.
-// GET /api/stream is Server-Sent Events: one "event:"/"data:" frame per
+// GET /v1/stream is Server-Sent Events: one "event:"/"data:" frame per
 // typed live.Event, with the bus sequence number as the SSE id so
 // clients can detect gaps and resume. A reconnecting client sends
 // Last-Event-ID and replay starts from the broadcast ring right after
@@ -22,7 +22,7 @@ import (
 	"diggsim/internal/obs"
 )
 
-// StatsResponse is the /api/stats envelope: live simulation metrics
+// StatsResponse is the /v1/stats envelope: live simulation metrics
 // when a live service is attached, HTTP request metrics when the
 // metrics middleware is attached.
 type StatsResponse struct {
@@ -48,7 +48,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		writeV1Error(w, v1Err(http.StatusInternalServerError, apiv1.CodeInternal, "streaming unsupported"))
 		return
 	}
 	bus := s.live.Bus()

@@ -218,7 +218,7 @@ func TestStreamResumeOverwrittenReportsLag(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/stream", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stream", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestStreamResumeWithinRing(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/stream", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stream", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStaticStatsOmitsLive checks /api/stats on a plain static server.
+// TestStaticStatsOmitsLive checks /v1/stats on a plain static server.
 func TestStaticStatsOmitsLive(t *testing.T) {
 	_, _, c := newTestServer(t)
 	stats, err := c.Stats(context.Background())

@@ -7,13 +7,12 @@
 //
 // # API versions
 //
-// The canonical surface is the versioned /v1/* API speaking the frozen
-// contract types of internal/apiv1: cursor-paginated list endpoints,
-// a machine-readable error envelope with stable codes, batch write
-// endpoints, and conditional GETs. The unversioned /api/* routes
-// remain mounted as thin compatibility aliases for pre-v1 consumers
-// (offset/limit pagination, string error bodies); they are deprecated
-// and receive no new features — see docs/api.md.
+// The server speaks one API generation: the versioned /v1/* surface
+// with the frozen contract types of internal/apiv1 — cursor-paginated
+// list endpoints, a machine-readable error envelope with stable codes,
+// batch write endpoints, and conditional GETs. Every endpoint has one
+// handler, one error envelope and one write fence. The unversioned
+// pre-v1 aliases were removed in v2.0 — see docs/api.md.
 //
 // The server is written against digg.Store, the command/query
 // interface of the storage layer, not the concrete *digg.Platform —
@@ -97,28 +96,6 @@ type (
 	// its Code with errors.As(err, &apiErr).
 	APIError = apiv1.Error
 )
-
-// UserLinks lists the users watching (fans) or watched by (friends) a
-// user — the legacy /api/users/{id}/fans|friends body.
-type UserLinks struct {
-	ID    digg.UserID   `json:"id"`
-	Users []digg.UserID `json:"users"`
-}
-
-// StoryPage is the legacy offset/limit story listing returned by
-// /api/stories. The v1 listing paginates with cursors instead
-// (apiv1.StoriesPage).
-type StoryPage struct {
-	Total   int            `json:"total"`
-	Offset  int            `json:"offset"`
-	Stories []StorySummary `json:"stories"`
-}
-
-// ErrorResponse is the legacy /api/* JSON error envelope (a bare
-// string). The v1 surface uses apiv1.ErrorEnvelope.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
 
 func summarize(s *digg.Story) StorySummary {
 	sum := StorySummary{

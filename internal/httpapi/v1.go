@@ -30,8 +30,8 @@ import (
 	"diggsim/internal/obs"
 )
 
-// mountV1 registers the /v1 routes on mux, each timed under the same
-// route class as its /api/* alias.
+// mountV1 registers the /v1 routes on mux, each timed under its route
+// class (see obs.go).
 func (s *Server) mountV1(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/frontpage", timed("frontpage", s.handleV1FrontPage))
 	mux.HandleFunc("GET /v1/upcoming", timed("upcoming", s.handleV1Upcoming))
@@ -47,6 +47,8 @@ func (s *Server) mountV1(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/topusers", timed("topusers", s.handleV1TopUsers))
 	mux.HandleFunc("GET /v1/stats", timed("stats", s.handleStats))
 	if s.live != nil {
+		// The SSE stream is long-lived; its duration is connection
+		// lifetime, not serving latency, so it stays uninstrumented.
 		mux.HandleFunc("GET /v1/stream", s.handleStream)
 	}
 }
@@ -156,23 +158,27 @@ func (s *Server) shardGensLocked() []uint64 {
 	return s.sharded.ShardGenerations(nil)
 }
 
+// v1PathID parses the non-negative {id} path segment.
 func v1PathID(r *http.Request) (int, *apiv1.Error) {
-	id, err := pathID(r)
-	if err != nil {
-		return 0, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, err.Error())
+	raw := r.PathValue("id")
+	id, err := strconv.Atoi(raw)
+	if err != nil || id < 0 {
+		return 0, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid id "+strconv.Quote(raw))
 	}
 	return id, nil
 }
 
 // appendPageTail closes a `{"<field>":[...` page object with its total
-// and optional cursor. Cursors are base64url so they never need JSON
+// and, unless next is the zero payload (the listing is exhausted), the
+// cursor of the following page, encoded in place so minting it costs
+// no allocation. Cursors are base64url so they never need JSON
 // escaping.
-func appendPageTail(b []byte, total int, next apiv1.Cursor) []byte {
+func appendPageTail(b []byte, total int, next apiv1.CursorPayload) []byte {
 	b = append(b, `],"total":`...)
 	b = strconv.AppendInt(b, int64(total), 10)
-	if next != "" {
+	if next.Kind != 0 {
 		b = append(b, `,"next_cursor":"`...)
-		b = append(b, next...)
+		b = next.AppendEncoded(b)
 		b = append(b, '"')
 	}
 	return append(b, '}')
@@ -211,23 +217,19 @@ func (s *Server) handleV1Stories(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := s.snap.view.Load()
-	if view == nil {
-		s.v1StoriesLocked(w, pos, limit)
-		return
-	}
 	total := len(view.summaries)
 	start := int(min64(pos, int64(total)))
 	end := start + limit
 	if end > total {
 		end = total
 	}
-	var next apiv1.Cursor
+	var next apiv1.CursorPayload
 	if end < total {
 		next = apiv1.CursorPayload{
 			Kind: apiv1.CursorStories, Gen: view.Gen,
 			Pos: int64(end), Ver: uint64(view.storyVer[end-1]),
 			ShardGens: view.ShardGens,
-		}.Encode()
+		}
 	}
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"stories":[`...)
@@ -239,39 +241,7 @@ func (s *Server) handleV1Stories(w http.ResponseWriter, r *http.Request) {
 	}
 	b = appendPageTail(b, total, next)
 	writeRaw(w, b)
-	*bp = b[:0]
-	encBufPool.Put(bp)
-}
-
-// v1StoriesLocked serves a stories page entirely from one locked
-// point-in-time read (startup, before the first publication).
-func (s *Server) v1StoriesLocked(w http.ResponseWriter, pos int64, limit int) {
-	s.mu.RLock()
-	all := s.store.Stories()
-	gen := s.store.Generation()
-	gens := s.shardGensLocked()
-	total := len(all)
-	start := int(min64(pos, int64(total)))
-	end := start + limit
-	if end > total {
-		end = total
-	}
-	page := apiv1.StoriesPage{Total: total, Stories: make([]StorySummary, 0, end-start)}
-	for _, st := range all[start:end] {
-		page.Stories = append(page.Stories, summarize(st))
-	}
-	var lastVer uint32
-	if end > start {
-		lastVer = s.store.StoryVersion(all[end-1].ID)
-	}
-	s.mu.RUnlock()
-	if end < total {
-		page.NextCursor = apiv1.CursorPayload{
-			Kind: apiv1.CursorStories, Gen: gen, Pos: int64(end), Ver: uint64(lastVer),
-			ShardGens: gens,
-		}.Encode()
-	}
-	writeJSON(w, http.StatusOK, page)
+	putBuf(bp, b)
 }
 
 // --- front page ---
@@ -297,10 +267,6 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := s.snap.view.Load()
-	if view == nil {
-		s.v1FrontPageLocked(w, pos, limit)
-		return
-	}
 	total := view.fpTotal
 	pos = min64(pos, int64(total)-1)
 	if pos < 0 {
@@ -329,12 +295,12 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var next apiv1.Cursor
+	var next apiv1.CursorPayload
 	if nextPos := pos - int64(n); nextPos >= 0 {
 		next = apiv1.CursorPayload{
 			Kind: apiv1.CursorFrontPage, Gen: view.Gen, Pos: nextPos,
 			ShardGens: view.ShardGens,
-		}.Encode()
+		}
 	}
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"stories":[`...)
@@ -346,8 +312,7 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 	}
 	b = appendPageTail(b, total, next)
 	writeRaw(w, b)
-	*bp = b[:0]
-	encBufPool.Put(bp)
+	putBuf(bp, b)
 }
 
 // v1FrontPageLocked serves a front-page cursor page from a locked
@@ -391,10 +356,9 @@ func (s *Server) v1FrontPageLocked(w http.ResponseWriter, pos int64, limit int) 
 func (s *Server) writeV1EmptyStories(w http.ResponseWriter, total int) {
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"stories":[`...)
-	b = appendPageTail(b, total, "")
+	b = appendPageTail(b, total, apiv1.CursorPayload{})
 	writeRaw(w, b)
-	*bp = b[:0]
-	encBufPool.Put(bp)
+	putBuf(bp, b)
 }
 
 // --- upcoming ---
@@ -419,71 +383,68 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.clock()
 	view := s.snap.view.Load()
-	if view == nil {
-		s.v1UpcomingLocked(w, now, pos, limit)
-		return
-	}
 	entries := view.upEntries
-	// Collect up to limit+1 matching entries: the probe entry decides
-	// whether a next cursor is due without a second scan.
-	idx := make([]int, 0, limit+1)
-	skipped := false
+	// The visibility filter runs at serve time: pre-rendered entries
+	// submitted after the current clock are skipped, so a static
+	// server's queue evolves with wall time without republication.
+	// Matches go straight into the response buffer; one extra probe
+	// match decides whether a next cursor is due without a second scan.
+	bp := encBufPool.Get().(*[]byte)
+	b := append((*bp)[:0], `{"stories":[`...)
+	n, more, skipped := 0, false, false
+	var lastID digg.StoryID
 	for i := range entries {
-		if entries[i].submittedAt > int64(now) {
+		e := &entries[i]
+		if e.submittedAt > int64(now) {
 			skipped = true
 			continue
 		}
-		if int64(entries[i].id) >= pos {
+		if int64(e.id) >= pos {
 			continue
 		}
-		idx = append(idx, i)
-		if len(idx) > limit {
+		if n == limit {
+			more = true
 			break
 		}
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, view.upBuf[e.start:e.end]...)
+		lastID = e.id
+		n++
 	}
-	if len(idx) <= limit && len(entries) < view.upTotal {
+	if !more && len(entries) < view.upTotal {
 		// The rendered window ran dry but deeper unpromoted stories
 		// exist: serve the whole page from the locked path instead of
 		// mixing sources.
+		putBuf(bp, b)
 		s.v1UpcomingLocked(w, now, pos, limit)
 		return
 	}
-	n := len(idx)
-	more := n > limit
-	if more {
-		n = limit
-	}
 	h := w.Header()
 	if !fromCursor && !skipped {
+		// The rendered queue only changes with the platform generation
+		// while no future-dated entries are pending, so the snapshot
+		// ETag is a valid strong validator.
 		h["Etag"] = view.etag
 		h["Cache-Control"] = headerRevalidate
 		if etagMatches(r.Header.Get("If-None-Match"), view.etagStr) {
+			putBuf(bp, b)
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	}
-	var next apiv1.Cursor
+	var next apiv1.CursorPayload
 	if more {
-		last := entries[idx[n-1]]
 		next = apiv1.CursorPayload{
 			Kind: apiv1.CursorUpcoming, Gen: view.Gen,
-			Pos: int64(last.id), Ver: uint64(view.storyVer[last.id]),
+			Pos: int64(lastID), Ver: uint64(view.storyVer[lastID]),
 			ShardGens: view.ShardGens,
-		}.Encode()
-	}
-	bp := encBufPool.Get().(*[]byte)
-	b := append((*bp)[:0], `{"stories":[`...)
-	for k := 0; k < n; k++ {
-		if k > 0 {
-			b = append(b, ',')
 		}
-		e := entries[idx[k]]
-		b = append(b, view.upBuf[e.start:e.end]...)
 	}
 	b = appendPageTail(b, view.upTotal, next)
 	writeRaw(w, b)
-	*bp = b[:0]
-	encBufPool.Put(bp)
+	putBuf(bp, b)
 }
 
 // v1UpcomingLocked serves an upcoming cursor page from one locked
@@ -544,10 +505,6 @@ func (s *Server) handleV1TopUsers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := s.snap.view.Load()
-	if view == nil {
-		s.v1TopUsersLocked(w, pos, limit)
-		return
-	}
 	total := view.topTotal
 	start := int(min64(pos, int64(total)))
 	end := start + limit
@@ -558,12 +515,12 @@ func (s *Server) handleV1TopUsers(w http.ResponseWriter, r *http.Request) {
 		s.v1TopUsersLocked(w, pos, limit)
 		return
 	}
-	var next apiv1.Cursor
+	var next apiv1.CursorPayload
 	if end < total {
 		next = apiv1.CursorPayload{
 			Kind: apiv1.CursorTopUsers, Gen: view.Gen, Pos: int64(end),
 			ShardGens: view.ShardGens,
-		}.Encode()
+		}
 	}
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"users":[`...)
@@ -572,8 +529,7 @@ func (s *Server) handleV1TopUsers(w http.ResponseWriter, r *http.Request) {
 	}
 	b = appendPageTail(b, total, next)
 	writeRaw(w, b)
-	*bp = b[:0]
-	encBufPool.Put(bp)
+	putBuf(bp, b)
 }
 
 func (s *Server) v1TopUsersLocked(w http.ResponseWriter, pos int64, limit int) {
@@ -615,8 +571,7 @@ func (s *Server) handleV1User(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeRaw(w, buf)
-	*bp = buf[:0]
-	encBufPool.Put(bp)
+	putBuf(bp, buf)
 }
 
 func (s *Server) handleV1Fans(w http.ResponseWriter, r *http.Request) {
@@ -686,7 +641,8 @@ func (s *Server) handleV1Story(w http.ResponseWriter, r *http.Request) {
 		writeRaw(w, buf)
 		return
 	}
-	// No snapshot covers the story yet: locked point-in-time read.
+	// The story is newer than the published snapshot: locked
+	// point-in-time read.
 	s.mu.RLock()
 	st, err := s.store.Story(digg.StoryID(id))
 	var out StoryDetail

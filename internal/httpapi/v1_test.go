@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -709,38 +708,64 @@ func runCursorCrawlUnderLiveWriter(t *testing.T, newStore func(*graph.Graph, dig
 	}
 }
 
-// TestV1LegacyAliasesAgree spot-checks that an /api/* alias and its
-// /v1/* counterpart serve the same stories.
-func TestV1LegacyAliasesAgree(t *testing.T) {
-	_, ts, c := newTestServer(t)
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: fmt.Sprintf("s%d", i), At: int64(i + 1)}); err != nil {
+// TestV1TopUsersPastRenderDepth crawls the reputation ranking across
+// the snapshot's pre-rendered depth (maxRenderTop): pages past it come
+// from the locked fallback, and the concatenation must still equal the
+// store's ranking — no duplicates, no gaps, one total throughout.
+func TestV1TopUsersPastRenderDepth(t *testing.T) {
+	const users = maxRenderTop + 476
+	g, err := graph.FromEdgeList(users, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := digg.NewPlatform(g, &digg.ClassicPromotion{VoteThreshold: 2, Window: digg.Day})
+	// Every user owns 1-3 promoted stories (the submitter's vote plus
+	// one more promotes), so the ranking has ties to order.
+	at := digg.Minutes(1)
+	for u := 0; u < users; u++ {
+		for k := 0; k <= u%3; k++ {
+			st, err := p.Submit(digg.UserID(u), fmt.Sprintf("u%d-%d", u, k), 0.5, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := p.Digg(st.ID, digg.UserID((u+1)%users), at+1); err != nil || !res.Promoted {
+				t.Fatalf("story %d: digg = %+v, %v", st.ID, res, err)
+			}
+			at += 2
+		}
+	}
+	want := p.TopUsers(users)
+	if len(want) != users {
+		t.Fatalf("ranked %d users, want %d", len(want), users)
+	}
+	ts := httptest.NewServer(NewServer(p, at, nil).Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL)
+
+	// 300-entry pages: the fourth straddles the 1,024-entry boundary.
+	var got []digg.UserID
+	seen := make(map[digg.UserID]bool, users)
+	for page, err := range c.TopUsersPages(context.Background(), 300) {
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	legacy, err := http.Get(ts.URL + "/api/upcoming?limit=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacyStories []StorySummary
-	if err := json.NewDecoder(legacy.Body).Decode(&legacyStories); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Body.Close()
-	v1Stories, err := c.Upcoming(ctx, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyStories) != len(v1Stories) {
-		t.Fatalf("alias drift: %d legacy vs %d v1", len(legacyStories), len(v1Stories))
-	}
-	for i := range v1Stories {
-		if legacyStories[i] != v1Stories[i] {
-			t.Fatalf("alias story %d drifted: %+v vs %+v", i, legacyStories[i], v1Stories[i])
+		if page.Total != users {
+			t.Fatalf("page at %d: total %d, want %d", len(got), page.Total, users)
 		}
+		for _, u := range page.Users {
+			if seen[u] {
+				t.Fatalf("user %d served twice", u)
+			}
+			seen[u] = true
+		}
+		got = append(got, page.Users...)
 	}
-	if !strings.HasPrefix(legacy.Header.Get("ETag"), `"g`) {
-		t.Errorf("legacy ETag = %q", legacy.Header.Get("ETag"))
+	if len(got) != len(want) {
+		t.Fatalf("crawl saw %d users, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rank %d: got user %d, want %d", i, got[i], want[i])
+		}
 	}
 }

@@ -62,7 +62,7 @@ type Event struct {
 }
 
 // Stats is a point-in-time snapshot of a live service, served by the
-// HTTP API's /api/stats endpoint.
+// HTTP API's /v1/stats endpoint.
 type Stats struct {
 	// SimNow is the current simulation minute.
 	SimNow int64 `json:"sim_now"`

@@ -318,7 +318,7 @@ func (s *Service) stepLocked(simNow digg.Minutes, outp *[]Event) error {
 }
 
 // Stats snapshots the service counters. It is entirely lock-free: the
-// platform gauges are atomic mirrors refreshed each step, so /api/stats
+// platform gauges are atomic mirrors refreshed each step, so /v1/stats
 // scrapes never contend with the simulation writer or readers.
 func (s *Service) Stats() Stats {
 	bs := s.bus.Stats()

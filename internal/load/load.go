@@ -65,7 +65,7 @@ type Scenario struct {
 	FreshnessRPS float64 `json:"freshness_rps"`
 
 	// SwarmSize is how many concurrent SSE subscribers to hold open on
-	// GET /api/stream for the whole run. Bounded by the process fd
+	// GET /v1/stream for the whole run. Bounded by the process fd
 	// limit — see docs/load.md for the per-core maximum on this class
 	// of machine.
 	SwarmSize int `json:"swarm_size"`

@@ -23,7 +23,7 @@ type swarmStats struct {
 	dropped   atomic.Uint64 // events reported lost inside lag frames
 }
 
-// runSwarm holds size concurrent SSE subscriptions on GET /api/stream
+// runSwarm holds size concurrent SSE subscriptions on GET /v1/stream
 // open until ctx is cancelled, connecting at connectRate conn/s (with
 // the scenario ramp) so the server sees a realistic join wave rather
 // than a thundering herd. Each stream records intended-connect→first-
@@ -71,7 +71,7 @@ func runSwarm(ctx context.Context, baseURL string, size int, connectRate float64
 // the server closes the stream.
 func streamOne(ctx context.Context, client *http.Client, baseURL string,
 	intended time.Time, hist *obs.Histogram, st *swarmStats) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/api/stream", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stream", nil)
 	if err != nil {
 		st.failures.Add(1)
 		return

@@ -142,7 +142,7 @@ func encodeFrame(dst []byte, fr Frame) []byte {
 	case FrameRecord:
 		return AppendRecordFrame(dst, fr.LSN, fr.RecType, fr.Payload)
 	case FrameHeartbeat:
-		return AppendHeartbeatFrame(dst, fr.Head, fr.ShipUnixNano)
+		return AppendHeartbeatFrame(dst, fr.Head, fr.ShipUnixNano, fr.CommitLSN, fr.CommitUnixNano, fr.TraceID)
 	case FrameError:
 		return AppendErrorFrame(dst, fr.Code, fr.Msg)
 	}

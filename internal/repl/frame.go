@@ -15,20 +15,20 @@ package repl
 //
 //	record     lsn uint64 LE · recType byte · payload
 //	heartbeat  head uint64 LE · shipUnixNano int64 LE
-//	           [· commitLSN uint64 LE · commitUnixNano int64 LE · traceID uint64 LE]
+//	           · commitLSN uint64 LE · commitUnixNano int64 LE · traceID uint64 LE
 //	error      code byte · utf-8 message (stream-terminating)
 //
 // A record frame carries one WAL record verbatim — same LSN, same type
 // byte, same payload bytes — so a follower can append it to its own log
 // unchanged. Heartbeats flow even while a stream is catching up; they
 // carry the primary's head LSN and ship wall-clock time, which is all a
-// follower needs to measure its lag. The optional 24-byte heartbeat
-// extension carries the primary's newest commit stamp — the commit's
-// LSN, its wall-clock instant and the trace ID of the write that
-// produced it — so a follower can measure commit→visible freshness end
-// to end and join its apply to the originating request's trace. A
-// 16-byte heartbeat (pre-extension sources) still decodes; any other
-// length is corrupt. An error frame is the primary's last word on a
+// follower needs to measure its lag, plus the primary's newest commit
+// stamp — the commit's LSN, its wall-clock instant and the trace ID of
+// the write that produced it — so a follower can measure
+// commit→visible freshness end to end and join its apply to the
+// originating request's trace. The stamp is all zero until the source
+// commits its first local write; a heartbeat body of any length but 40
+// bytes is corrupt. An error frame is the primary's last word on a
 // stream (log truncated under the reader, corruption); the connection
 // closes after it.
 //
@@ -50,7 +50,7 @@ import (
 // Frame kinds.
 const (
 	FrameRecord    byte = 1 // one WAL record
-	FrameHeartbeat byte = 2 // head position + ship time, no state change
+	FrameHeartbeat byte = 2 // head position, ship time, commit stamp; no state change
 	FrameError     byte = 3 // stream-terminating error from the source
 )
 
@@ -86,13 +86,12 @@ type Frame struct {
 	RecType byte
 	Payload []byte
 
-	// FrameHeartbeat: the source's head LSN and the wall-clock
-	// nanoseconds at which it shipped the frame.
-	Head         uint64
-	ShipUnixNano int64
-	// FrameHeartbeat extension: the source's newest commit stamp.
-	// All zero on 16-byte heartbeats from pre-extension sources and on
-	// nodes that have taken no local writes (pure followers).
+	// FrameHeartbeat: the source's head LSN, the wall-clock
+	// nanoseconds at which it shipped the frame, and its newest commit
+	// stamp — all zero on nodes that have taken no local writes (pure
+	// followers, or a primary before its first commit).
+	Head           uint64
+	ShipUnixNano   int64
 	CommitLSN      uint64
 	CommitUnixNano int64
 	TraceID        uint64
@@ -124,18 +123,10 @@ func AppendRecordFrame(dst []byte, lsn uint64, recType byte, payload []byte) []b
 	return appendFrame(dst, FrameRecord, body)
 }
 
-// AppendHeartbeatFrame appends a heartbeat frame in the legacy
-// 16-byte form (no commit stamp).
-func AppendHeartbeatFrame(dst []byte, head uint64, shipUnixNano int64) []byte {
-	var body [16]byte
-	binary.LittleEndian.PutUint64(body[0:8], head)
-	binary.LittleEndian.PutUint64(body[8:16], uint64(shipUnixNano))
-	return appendFrame(dst, FrameHeartbeat, body[:])
-}
-
-// AppendHeartbeatCommitFrame appends a heartbeat frame carrying the
-// source's newest commit stamp in the 24-byte extension.
-func AppendHeartbeatCommitFrame(dst []byte, head uint64, shipUnixNano int64, commitLSN uint64, commitUnixNano int64, traceID uint64) []byte {
+// AppendHeartbeatFrame appends a heartbeat frame carrying the source's
+// head, ship time and newest commit stamp (zero before the first local
+// commit).
+func AppendHeartbeatFrame(dst []byte, head uint64, shipUnixNano int64, commitLSN uint64, commitUnixNano int64, traceID uint64) []byte {
 	var body [40]byte
 	binary.LittleEndian.PutUint64(body[0:8], head)
 	binary.LittleEndian.PutUint64(body[8:16], uint64(shipUnixNano))
@@ -223,16 +214,14 @@ func decodeBody(kind byte, body []byte) (Frame, error) {
 		f.RecType = body[8]
 		f.Payload = body[9:]
 	case FrameHeartbeat:
-		if len(body) != 16 && len(body) != 40 {
-			return Frame{}, fmt.Errorf("%w: heartbeat frame body must be 16 or 40 bytes", ErrFrameCorrupt)
+		if len(body) != 40 {
+			return Frame{}, fmt.Errorf("%w: heartbeat frame body must be 40 bytes", ErrFrameCorrupt)
 		}
 		f.Head = binary.LittleEndian.Uint64(body[0:8])
 		f.ShipUnixNano = int64(binary.LittleEndian.Uint64(body[8:16]))
-		if len(body) == 40 {
-			f.CommitLSN = binary.LittleEndian.Uint64(body[16:24])
-			f.CommitUnixNano = int64(binary.LittleEndian.Uint64(body[24:32]))
-			f.TraceID = binary.LittleEndian.Uint64(body[32:40])
-		}
+		f.CommitLSN = binary.LittleEndian.Uint64(body[16:24])
+		f.CommitUnixNano = int64(binary.LittleEndian.Uint64(body[24:32]))
+		f.TraceID = binary.LittleEndian.Uint64(body[32:40])
 	case FrameError:
 		if len(body) < 1 {
 			return Frame{}, fmt.Errorf("%w: error frame body too short", ErrFrameCorrupt)

@@ -10,7 +10,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf []byte
 	buf = AppendRecordFrame(buf, 42, 3, []byte("payload-bytes"))
-	buf = AppendHeartbeatFrame(buf, 99, 123456789)
+	buf = AppendHeartbeatFrame(buf, 99, 123456789, 0, 0, 0)
 	buf = AppendRecordFrame(buf, 43, 4, nil)
 	buf = AppendErrorFrame(buf, ErrCodeGone, "pruned")
 
@@ -50,9 +50,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameHeartbeatCommitRoundTrip(t *testing.T) {
-	var buf []byte
-	buf = AppendHeartbeatCommitFrame(buf, 99, 123456789, 97, 111222333, 0xdeadbeefcafe0123)
-	buf = AppendHeartbeatFrame(buf, 100, 223456789)
+	stamped := AppendHeartbeatFrame(nil, 99, 123456789, 97, 111222333, 0xdeadbeefcafe0123)
+	buf := AppendHeartbeatFrame(append([]byte(nil), stamped...), 100, 223456789, 0, 0, 0)
 
 	fr := NewFrameReader(bytes.NewReader(buf))
 	f, err := fr.Next()
@@ -61,9 +60,14 @@ func TestFrameHeartbeatCommitRoundTrip(t *testing.T) {
 	}
 	if f.Kind != FrameHeartbeat || f.Head != 99 || f.ShipUnixNano != 123456789 ||
 		f.CommitLSN != 97 || f.CommitUnixNano != 111222333 || f.TraceID != 0xdeadbeefcafe0123 {
-		t.Fatalf("extended heartbeat = %+v", f)
+		t.Fatalf("stamped heartbeat = %+v", f)
 	}
-	// A legacy heartbeat after an extended one must decode with all
+	// The chaos transport re-frames what it decodes; the stamp must
+	// survive byte for byte or chaos runs never see commit freshness.
+	if got := encodeFrame(nil, f); !bytes.Equal(got, stamped) {
+		t.Fatalf("encodeFrame(stamped heartbeat) = %x, want %x", got, stamped)
+	}
+	// A pre-commit heartbeat after a stamped one must decode with all
 	// commit fields zero — the reader's buffer is reused between calls.
 	f, err = fr.Next()
 	if err != nil {
@@ -71,13 +75,14 @@ func TestFrameHeartbeatCommitRoundTrip(t *testing.T) {
 	}
 	if f.Kind != FrameHeartbeat || f.Head != 100 || f.ShipUnixNano != 223456789 ||
 		f.CommitLSN != 0 || f.CommitUnixNano != 0 || f.TraceID != 0 {
-		t.Fatalf("legacy heartbeat = %+v", f)
+		t.Fatalf("pre-commit heartbeat = %+v", f)
 	}
 }
 
 func TestFrameHeartbeatBadLength(t *testing.T) {
-	// A heartbeat body of any length other than 16 or 40 is corrupt.
-	for _, n := range []int{0, 15, 17, 24, 39, 41} {
+	// A heartbeat body of any length other than 40 is corrupt,
+	// including the retired 16-byte form.
+	for _, n := range []int{0, 15, 16, 17, 24, 39, 41} {
 		full := appendFrame(nil, FrameHeartbeat, make([]byte, n))
 		fr := NewFrameReader(bytes.NewReader(full))
 		if _, err := fr.Next(); !errors.Is(err, ErrFrameCorrupt) {

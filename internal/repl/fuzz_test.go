@@ -13,7 +13,7 @@ import (
 // every input as frames + clean EOF, a torn tail, or corruption.
 func FuzzReplFrameDecode(f *testing.F) {
 	valid := AppendRecordFrame(nil, 12, 2, []byte("hello repl"))
-	valid = AppendHeartbeatFrame(valid, 13, 1_700_000_000_000_000_000)
+	valid = AppendHeartbeatFrame(valid, 13, 1_700_000_000_000_000_000, 12, 1_699_999_999_000_000_000, 0xfeed)
 	valid = AppendErrorFrame(valid, ErrCodeInternal, "boom")
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3]) // torn tail

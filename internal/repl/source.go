@@ -52,15 +52,15 @@ type SourceShard struct {
 	LastCommit func() durable.CommitStamp
 }
 
-// appendBeat appends a heartbeat for sh: the extended commit-stamp form
-// when the shard exposes one, the legacy 16-byte form otherwise.
+// appendBeat appends a heartbeat for sh carrying its newest commit
+// stamp — zero when the shard exposes none or has not committed yet,
+// which followers ignore.
 func appendBeat(buf []byte, sh SourceShard, now time.Time) []byte {
+	var c durable.CommitStamp
 	if sh.LastCommit != nil {
-		if c := sh.LastCommit(); c.LSN > 0 {
-			return AppendHeartbeatCommitFrame(buf, sh.Head(), now.UnixNano(), c.LSN, c.UnixNano, c.TraceID)
-		}
+		c = sh.LastCommit()
 	}
-	return AppendHeartbeatFrame(buf, sh.Head(), now.UnixNano())
+	return AppendHeartbeatFrame(buf, sh.Head(), now.UnixNano(), c.LSN, c.UnixNano, c.TraceID)
 }
 
 // Source serves a node's replication endpoints. Zero-value durations
