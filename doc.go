@@ -42,8 +42,9 @@
 // while digg.Platform's generation and per-story version counters let
 // each publication re-encode only what changed. Readers therefore
 // never wait behind the simulation writer: the shared RWMutex guards
-// only writes, snapshot rebuilds and the point-in-time fallback paths
-// (see internal/httpapi's package documentation for the architecture).
+// only writes, snapshot rebuilds and story details newer than the
+// published snapshot (see internal/httpapi's package documentation for
+// the architecture).
 //
 // The HTTP surface is versioned (internal/apiv1): /v1/* speaks a
 // frozen, transport-agnostic contract — request/response types, a
@@ -79,9 +80,8 @@
 // lock-free snapshot path is unchanged). Three -fsync policies trade
 // machine-crash durability against write latency; `diggstats -wal`
 // inspects a data directory. See docs/persistence.md. Cursors ride the snapshot infrastructure:
-// pages are cut lock-free from pre-rendered bytes whenever the
-// published snapshot can satisfy them, with a whole-page locked
-// fallback past the pre-rendered depth; the cursor's boundary key
+// every list page, at any depth, is cut lock-free from the published
+// snapshot's pre-rendered bytes; the cursor's boundary key
 // (submission index, promotion index, story id, rank or link index —
 // each chosen to stay stable under the live writer) resumes iteration
 // without duplicating or skipping an entry even as new generations

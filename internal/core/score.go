@@ -17,11 +17,6 @@ func (p *Predictor) Score(ex Example) float64 {
 	return p.Tree.ClassifyProb(attrVector(ex, p.Features))
 }
 
-// ScoreStory extracts features and scores a story.
-func (p *Predictor) ScoreStory(g *graph.Graph, s *digg.Story) float64 {
-	return p.Score(ExtractExample(g, s))
-}
-
 // RankedStory pairs a story with its predicted interestingness score.
 type RankedStory struct {
 	StoryID digg.StoryID

@@ -216,8 +216,7 @@ func BenchmarkFrontPageHandler(b *testing.B) {
 	benchServe(b, srv.Handler(), []string{"/v1/frontpage?limit=15"})
 }
 
-// BenchmarkUpcomingHandler isolates the upcoming queue (limit within
-// the pre-rendered snapshot depth).
+// BenchmarkUpcomingHandler isolates the upcoming queue's first page.
 func BenchmarkUpcomingHandler(b *testing.B) {
 	p := benchPlatform(b)
 	srv := NewServer(p, 400, nil)

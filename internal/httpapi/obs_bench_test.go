@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/obs"
 )
 
@@ -49,6 +50,41 @@ func TestFrontPageHandlerZeroAlloc(t *testing.T) {
 				t.Errorf("%s: %.1f allocs/op, want 0", path, allocs)
 			}
 		})
+	}
+}
+
+// TestDeepCursorPageAllocs guards the single serving path of the list
+// endpoints: a front-page cursor page deep in the promotion order is
+// cut from the published snapshot like a first page, so it allocates
+// no more than a /v1/stories cursor page, whose only allocation is
+// decoding the cursor itself.
+func TestDeepCursorPageAllocs(t *testing.T) {
+	p := benchPlatform(t)
+	if n := p.PromotedCount(); n <= 150 {
+		t.Fatalf("bench platform promoted %d stories, need more than 150", n)
+	}
+	h := NewServer(p, 400, nil).Handler()
+	allocs := func(kind apiv1.CursorKind, path string, pos int64) float64 {
+		cursor := apiv1.CursorPayload{Kind: kind, Gen: p.Generation(), Pos: pos}.Encode()
+		req := httptest.NewRequest(http.MethodGet, path+"&cursor="+string(cursor), nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"next_cursor":"`) {
+			t.Fatalf("%s warm-up: status %d, body %s", path, rec.Code, rec.Body)
+		}
+		w := &benchWriter{h: make(http.Header, 4)}
+		return testing.AllocsPerRun(200, func() {
+			w.reset()
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("%s: status %d", path, w.status)
+			}
+		})
+	}
+	front := allocs(apiv1.CursorFrontPage, "/v1/frontpage?limit=50", 150)
+	stories := allocs(apiv1.CursorStories, "/v1/stories?limit=50", 100)
+	if front > stories {
+		t.Errorf("front-page cursor page: %.1f allocs/op, stories cursor page: %.1f", front, stories)
 	}
 }
 

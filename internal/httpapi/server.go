@@ -26,13 +26,13 @@ import (
 // store, and republish the snapshot before responding, so a client
 // always reads its own writes.
 //
-// The RWMutex remains the fallback for requests the snapshot cannot
-// answer (limits past the pre-rendered depth, stories newer than the
-// last publication) and for genuinely point-in-time reads.
+// The RWMutex remains for the one read the snapshot cannot answer (a
+// story newer than the last publication) and for the detail cache's
+// fills.
 type Server struct {
 	// mu guards the store. With AttachLive it is replaced by the
 	// service's lock so the simulation writer, snapshot rebuilds and
-	// fallback readers interleave on one mutex.
+	// locked readers interleave on one mutex.
 	mu    *sync.RWMutex
 	store digg.Store
 	// batcher is the store's optional batch-grouping capability
@@ -137,7 +137,7 @@ func (s *Server) SetNow(now digg.Minutes) {
 func (s *Server) SetNowFunc(fn func() digg.Minutes) { s.nowFn = fn }
 
 // AttachLive connects a live simulation service: the server adopts the
-// service's platform lock (so snapshot rebuilds and fallback readers
+// service's platform lock (so snapshot rebuilds and locked readers
 // interleave safely with the simulation writer), serves the service's
 // clock, republishes the read snapshot after every simulation step,
 // and exposes the SSE stream feed plus live metrics on the stats
@@ -237,7 +237,7 @@ func writeRaw(w http.ResponseWriter, body []byte) {
 // storyDetailBytes serves a story's detail JSON from the per-(story,
 // version) cache, encoding and caching on miss. ok reports whether the
 // snapshot path could answer; when false (a story newer than the
-// published view) the caller should use its locked fallback.
+// published view) the caller should use its locked read.
 func (s *Server) storyDetailBytes(id digg.StoryID) (buf []byte, ok bool, err error) {
 	view := s.snap.view.Load()
 	slab := s.snap.details.Load()

@@ -6,7 +6,10 @@ package httpapi
 // ReadView under the platform read lock and publishes it through an
 // atomic.Pointer. Hot read handlers load the pointer and write
 // pre-serialized JSON bytes straight to the response — no platform
-// lock, no StorySummary allocation, no encoding/json reflection.
+// lock, no StorySummary allocation, no encoding/json reflection. A
+// view holds enough to cut every page of every list endpoint at any
+// depth: per-story summaries, the store's promotion order, the
+// upcoming queue and the whole top-user ranking.
 //
 // Rebuilds are incremental: the store caches each story's encoded
 // summary keyed by its digg.Platform version counter, so a publication
@@ -27,30 +30,23 @@ import (
 	"diggsim/internal/digg"
 )
 
-// Pre-render depths. Requests that reach past them (and past the
-// total) fall back to the locked path, which stays correct for
-// arbitrary limits.
-const (
-	maxRenderQueue = 100  // front-page / upcoming entries per snapshot
-	maxRenderTop   = 1024 // top-user ids per snapshot
-)
-
-// queueEntry locates one story's pre-encoded summary inside a queue
-// buffer. submittedAt lets the upcoming handler apply the
-// clock-dependent visibility filter at serve time, so a static
-// server's queue stays correct as wall time advances without
-// republishing; id is the boundary key v1 upcoming cursors resume
+// queueEntry is one unpromoted story in a view's upcoming queue.
+// submittedAt lets the upcoming handler apply the clock-dependent
+// visibility filter at serve time, so a static server's queue stays
+// correct as wall time advances without republishing; id indexes the
+// view's summaries and is the boundary key v1 upcoming cursors resume
 // from.
 type queueEntry struct {
-	start, end  int
-	submittedAt int64
 	id          digg.StoryID
+	submittedAt int64
 }
 
 // ReadView is one immutable published snapshot of everything the hot
-// read endpoints serve. All byte slices are written once at build time
-// and never mutated, so any number of handlers may serve from a view
-// while newer views are published behind them.
+// read endpoints serve. It holds enough to cut any page of any list
+// endpoint, so no list request needs the store lock. All byte slices
+// are written once at build time and never mutated, so any number of
+// handlers may serve from a view while newer views are published
+// behind them.
 type ReadView struct {
 	// Gen is the store generation this view was built at (against a
 	// sharded store, the composite generation: the shard-vector sum).
@@ -59,20 +55,20 @@ type ReadView struct {
 	// for an unsharded store). Cursors minted from this view embed it.
 	ShardGens []uint64
 
-	fpBuf   []byte // "[{...},...]" promoted stories, newest first
-	fpEnds  []int  // fpEnds[i] = offset just past entry i (no ']')
-	fpTotal int    // promoted stories on the whole platform
-
-	upBuf     []byte // unpromoted stories, newest first
-	upEntries []queueEntry
-	upTotal   int // unpromoted stories on the whole platform
-
 	summaries [][]byte // per-story summary JSON, indexed by StoryID
 	storyVer  []uint32 // per-story version at publication
 
-	topBuf   []byte // "[id,id,...]" ranked users, best first
-	topEnds  []int
-	topTotal int // users with promoted submissions
+	// promoted is the store's promotion order, oldest first. It shares
+	// the store's append-only list (digg.Store.PromotedIDs): later
+	// promotions append past its length, but the entries it covers
+	// never change.
+	promoted []digg.StoryID
+	// queue holds every unpromoted story, newest first, including
+	// future-dated submissions.
+	queue []queueEntry
+
+	topBuf  []byte // "[id,id,...]" the whole ranking, best first
+	topEnds []int  // topEnds[i] = offset just past entry i (no ']')
 
 	// ranks is the platform's promoted-submission ranking map, shared
 	// immutably (digg replaces it on invalidation, never mutates it).
@@ -147,57 +143,54 @@ func (s *Server) republish() {
 func (st *snapshotStore) build(p digg.Store, gen uint64) *ReadView {
 	stories := p.Stories()
 	n := len(stories)
-
-	// Refresh the summary cache: re-encode only changed stories.
+	promoted := p.PromotedIDs()
 	if cap(st.sums) < n {
 		grown := make([]cachedSummary, n, n+n/2+16)
 		copy(grown, st.sums)
 		st.sums = grown
 	}
 	st.sums = st.sums[:n]
+
+	v := &ReadView{
+		Gen:       gen,
+		summaries: make([][]byte, n),
+		storyVer:  make([]uint32, n),
+		promoted:  promoted,
+		queue:     make([]queueEntry, 0, n-len(promoted)),
+	}
+	if sh, ok := p.(digg.Sharded); ok {
+		v.ShardGens = sh.ShardGenerations(nil)
+	}
+
+	// One newest-first pass refreshes the summary cache (re-encoding
+	// only changed stories) and collects the upcoming queue. The queue
+	// keeps future-dated submissions: the handler filters by the clock
+	// at serve time.
 	encoded := 0
-	for i, s := range stories {
+	for i := n - 1; i >= 0; i-- {
+		s := stories[i]
 		ver := p.StoryVersion(s.ID)
-		if st.sums[i].ver != ver || st.sums[i].buf == nil {
+		c := &st.sums[i]
+		if c.ver != ver || c.buf == nil {
 			buf := make([]byte, 0, 96+len(s.Title))
-			st.sums[i] = cachedSummary{ver: ver, buf: appendSummary(buf, s)}
+			*c = cachedSummary{ver: ver, buf: appendSummary(buf, s)}
 			encoded++
+		}
+		v.summaries[i] = c.buf
+		v.storyVer[i] = ver
+		if !s.Promoted {
+			v.queue = append(v.queue, queueEntry{id: s.ID, submittedAt: int64(s.SubmittedAt)})
 		}
 	}
 	if encoded > 0 {
 		ctrStoriesEncoded.Add(uint64(encoded))
 	}
 
-	v := &ReadView{
-		Gen:       gen,
-		summaries: make([][]byte, n),
-		storyVer:  make([]uint32, n),
-	}
-	if sh, ok := p.(digg.Sharded); ok {
-		v.ShardGens = sh.ShardGenerations(nil)
-	}
-	for i := range st.sums {
-		v.summaries[i] = st.sums[i].buf
-		v.storyVer[i] = st.sums[i].ver
-	}
-
-	// Front page: promoted stories, newest promotion first.
-	v.fpTotal = p.PromotedCount()
-	front := p.FrontPage(maxRenderQueue)
-	v.fpBuf, v.fpEnds = buildQueue(v.summaries, front, nil)
-
-	// Upcoming queue: unpromoted stories, newest first, including
-	// future-dated submissions — the handler filters by the clock at
-	// serve time.
-	v.upTotal = n - v.fpTotal
-	upcoming := p.Upcoming(digg.Minutes(1<<62), maxRenderQueue)
-	v.upBuf, _ = buildQueue(v.summaries, upcoming, &v.upEntries)
-
-	// Reputation: ranked ids pre-rendered, rank map shared for
+	// Reputation: the whole ranking pre-rendered, rank map shared for
 	// lock-free /v1/users lookups.
 	v.ranks = p.Ranks()
-	v.topTotal = len(v.ranks)
-	top := p.TopUsers(maxRenderTop)
+	top := p.TopUsers(len(v.ranks))
+	v.topBuf = make([]byte, 0, 2+8*len(top))
 	v.topBuf = append(v.topBuf, '[')
 	v.topEnds = make([]int, len(top))
 	for i, u := range top {
@@ -228,39 +221,6 @@ func (st *snapshotStore) build(p digg.Store, gen uint64) *ReadView {
 		st.details.Store(&detailSlab{slots: slots})
 	}
 	return v
-}
-
-// buildQueue concatenates the pre-encoded summaries of the given
-// stories into one JSON array buffer. With ends it records the offset
-// past each entry (front page: constant-time limit cuts); with
-// entries it records per-entry bounds plus submission times (upcoming:
-// serve-time visibility filtering).
-func buildQueue(summaries [][]byte, stories []*digg.Story, entries *[]queueEntry) (buf []byte, ends []int) {
-	size := 2
-	for _, s := range stories {
-		size += len(summaries[s.ID]) + 1
-	}
-	buf = make([]byte, 0, size)
-	buf = append(buf, '[')
-	if entries == nil {
-		ends = make([]int, len(stories))
-	} else {
-		*entries = make([]queueEntry, len(stories))
-	}
-	for i, s := range stories {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		start := len(buf)
-		buf = append(buf, summaries[s.ID]...)
-		if entries == nil {
-			ends[i] = len(buf)
-		} else {
-			(*entries)[i] = queueEntry{start: start, end: len(buf), submittedAt: int64(s.SubmittedAt), id: s.ID}
-		}
-	}
-	buf = append(buf, ']')
-	return buf, ends
 }
 
 // Shared header values, assigned directly into the header map so hot

@@ -209,16 +209,17 @@ func TestUpcomingServeTimeFilter(t *testing.T) {
 	}
 }
 
-// TestSnapshotFallbackBeyondRenderDepth drives the queues past the
-// pre-rendered snapshot depth and checks the locked fallback serves
-// the rest, agreeing with the snapshot on the shared prefix.
+// TestSnapshotFallbackBeyondRenderDepth asks for whole queues deeper
+// than the 100 entries views once pre-rendered (beyond which a locked
+// fallback used to answer): a limit past that depth must serve every
+// entry and agree with a short first page on the shared prefix.
 func TestSnapshotFallbackBeyondRenderDepth(t *testing.T) {
 	g, err := graph.FromEdgeList(10, [][2]graph.NodeID{{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := digg.NewPlatform(g, digg.NeverPromote{})
-	const n = maxRenderQueue + 40
+	const n = 140
 	for i := 0; i < n; i++ {
 		st := &digg.Story{
 			ID: digg.StoryID(i), Title: fmt.Sprintf("s%d", i), Submitter: digg.UserID(i % 10),
@@ -240,12 +241,10 @@ func TestSnapshotFallbackBeyondRenderDepth(t *testing.T) {
 	c.Backoff = time.Millisecond
 
 	ctx := context.Background()
-	// Within the render depth: snapshot path.
 	short, err := c.FrontPage(ctx, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Beyond it: locked fallback returns everything.
 	full, err := c.FrontPage(ctx, n)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +253,7 @@ func TestSnapshotFallbackBeyondRenderDepth(t *testing.T) {
 		t.Fatalf("front pages: short=%d full=%d want 10, %d", len(short), len(full), n/2)
 	}
 	if !reflect.DeepEqual(short, full[:10]) {
-		t.Error("snapshot and locked front-page prefixes disagree")
+		t.Error("short and full front-page prefixes disagree")
 	}
 	upShort, err := c.Upcoming(ctx, 10)
 	if err != nil {
@@ -268,7 +267,57 @@ func TestSnapshotFallbackBeyondRenderDepth(t *testing.T) {
 		t.Fatalf("upcoming: short=%d full=%d want 10, %d", len(upShort), len(upFull), n/2)
 	}
 	if !reflect.DeepEqual(upShort, upFull[:10]) {
-		t.Error("snapshot and locked upcoming prefixes disagree")
+		t.Error("short and full upcoming prefixes disagree")
+	}
+}
+
+// TestStoryDetailNewerThanSnapshot covers the one read that still takes
+// the store lock: a story committed to the store but not yet
+// republished exists only there, so /v1/stories/{id} must answer it
+// from a locked read. After republication the detail cache serves the
+// same value.
+func TestStoryDetailNewerThanSnapshot(t *testing.T) {
+	srv, ts, _ := newTestServer(t)
+	srv.mu.Lock()
+	st, err := srv.store.Submit(1, "unpublished", 0.5, 20)
+	if err == nil {
+		_, err = srv.store.Digg(st.ID, 2, 21)
+	}
+	var want StoryDetail
+	if err == nil {
+		want = detail(st)
+	}
+	srv.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(srv.snap.view.Load().storyVer); int(st.ID) < n {
+		t.Fatalf("story %d is already in the published view (%d stories)", st.ID, n)
+	}
+	get := func(stage string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stories/" + strconv.Itoa(int(st.ID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", stage, resp.StatusCode)
+		}
+		var got StoryDetail
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %+v, want %+v", stage, got, want)
+		}
+	}
+	get("locked read")
+	srv.republish()
+	get("cache fill")
+	get("cache hit")
+	if e := srv.snap.details.Load().slots[st.ID].Load(); e == nil || e.ver != srv.snap.view.Load().storyVer[st.ID] {
+		t.Fatalf("detail cache entry after republish = %+v", e)
 	}
 }
 
@@ -302,17 +351,23 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 	srv := NewServer(p, 100, nil)
 	srv.AttachLive(svc)
 
-	// Record every published front-page rendering by generation, before
-	// serving starts.
-	type published struct {
-		buf  []byte
-		ends []int
-	}
+	// Record every published generation's first front page, rendered
+	// from the view's promotion order and summaries, before serving
+	// starts.
+	const limit = 10
 	var pubMu sync.Mutex
-	pubs := make(map[uint64]published)
+	pubs := make(map[uint64]string)
 	srv.snap.onPublish = func(v *ReadView) {
+		b := []byte{'['}
+		for k := 0; k < limit && k < len(v.promoted); k++ {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, v.summaries[v.promoted[len(v.promoted)-1-k]]...)
+		}
+		b = append(b, ']')
 		pubMu.Lock()
-		pubs[v.Gen] = published{buf: v.fpBuf, ends: v.fpEnds}
+		pubs[v.Gen] = string(b)
 		pubMu.Unlock()
 	}
 
@@ -338,14 +393,6 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 			}
 		}
 	}()
-
-	const limit = 10
-	render := func(p published) string {
-		if len(p.ends) <= limit {
-			return string(p.buf)
-		}
-		return string(p.buf[:p.ends[limit-1]]) + "]"
-	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -383,7 +430,7 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 				}
 				lastGen = gen
 				pubMu.Lock()
-				pub, ok := pubs[gen]
+				want, ok := pubs[gen]
 				pubMu.Unlock()
 				if !ok {
 					errs <- fmt.Errorf("served generation %d was never published", gen)
@@ -394,7 +441,7 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 					errs <- fmt.Errorf("undecodable page at generation %d: %v", gen, err)
 					return
 				}
-				if want := render(pub); string(page.Stories) != want {
+				if string(page.Stories) != want {
 					errs <- fmt.Errorf("torn read at generation %d:\n got %s\nwant %s", gen, page.Stories, want)
 					return
 				}

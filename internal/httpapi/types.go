@@ -20,16 +20,15 @@
 //
 // # Read-path architecture
 //
-// The server splits traffic into a lock-free snapshot path and a
-// locked fallback path.
+// Every list endpoint has one serving path: the lock-free snapshot.
 //
 // Every write — an HTTP POST (single or batch), or a live.Service
 // simulation step when one is attached — mutates the store under the
 // write lock and then republishes a ReadView: an immutable snapshot
-// holding the front page, upcoming queue, per-story summaries, top-user
-// list and a generation-derived ETag, all pre-serialized to JSON bytes.
-// The view is published through an atomic pointer, so the hot read
-// endpoints (frontpage, upcoming, stories, story detail, topusers,
+// holding per-story summaries pre-serialized to JSON bytes, the
+// store's append-only promotion order, the upcoming queue, the whole
+// top-user ranking and a generation-derived ETag. The view is
+// published through an atomic pointer, so the hot read endpoints (frontpage, upcoming, stories, story detail, topusers,
 // users) serve whole responses by writing cached bytes — no store
 // lock, no intermediate structs, no encoding/json reflection, and zero
 // allocations per request. Publication is incremental: digg.Platform's
@@ -42,18 +41,16 @@
 // v1 cursors (see apiv1.Cursor) carry an endpoint-specific boundary
 // key (submission index, promotion index, story id, or rank position)
 // chosen to stay stable across platform generations, plus generation
-// and story-version provenance stamps. Pages are cut straight from
-// whichever snapshot is published when the request lands, falling
-// back to a whole-page locked read past the pre-rendered depth — so a
-// paginated crawl under the live writer never duplicates and never
-// skips an entry that existed when the crawl began, no matter how
-// many generations publish between pages.
+// and story-version provenance stamps. Every page, at any depth, is
+// cut straight from whichever snapshot is published when the request
+// lands — so a paginated crawl under the live writer never duplicates
+// and never skips an entry that existed when the crawl began, no
+// matter how many generations publish between pages.
 //
 // The shared RWMutex remains for everything that needs a point-in-time
 // read of the mutable store: the write endpoints themselves, snapshot
-// rebuilds, detail-cache misses, and read requests that reach past the
-// snapshot's pre-rendered depth (queue limits beyond 100, top-user
-// limits beyond 1024). Fans/friends endpoints read only the immutable
+// rebuilds, detail-cache fills, and story details newer than the
+// published snapshot. Fans/friends endpoints read only the immutable
 // social graph and take no lock at all.
 //
 // # Clocks: SetNowFunc vs AttachLive
@@ -64,8 +61,8 @@
 // endpoints. Use Server.SetNowFunc when the platform is static but
 // the site clock should still advance (cmd/diggd's default mode maps
 // wall time onto sim minutes): nothing mutates, so no republication
-// happens — the upcoming queue instead filters its pre-rendered
-// entries against the clock at serve time. A bare SetNow remains for
+// happens — the upcoming queue instead filters its snapshot entries
+// against the clock at serve time. A bare SetNow remains for
 // tests that pin the clock.
 package httpapi
 

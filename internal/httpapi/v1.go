@@ -11,16 +11,16 @@ package httpapi
 // index for /v1/frontpage (the promotion list is append-only), the
 // last story id for /v1/upcoming (only older stories can follow), the
 // rank index for /v1/topusers, and the link index for fans/friends
-// (the graph is immutable). Pages are cut from the lock-free snapshot
-// whenever it can satisfy them; pages that reach past the pre-rendered
-// depth fall back to a locked point-in-time read built entirely under
-// one RLock, so no page ever mixes two generations.
+// (the graph is immutable). Every list page, at any depth, is cut from
+// the one published snapshot the request loaded, so no page ever
+// mixes two generations and no list request takes the store lock.
 
 import (
 	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -148,16 +148,6 @@ func (s *Server) v1CursorPos(rawQuery string, kind apiv1.CursorKind, defPos int6
 	return p.Pos, true, nil
 }
 
-// shardGensLocked snapshots the per-shard generation vector for
-// cursor minting (nil against an unsharded store). Callers hold at
-// least the store read lock.
-func (s *Server) shardGensLocked() []uint64 {
-	if s.sharded == nil {
-		return nil
-	}
-	return s.sharded.ShardGenerations(nil)
-}
-
 // v1PathID parses the non-negative {id} path segment.
 func v1PathID(r *http.Request) (int, *apiv1.Error) {
 	raw := r.PathValue("id")
@@ -184,8 +174,8 @@ func appendPageTail(b []byte, total int, next apiv1.CursorPayload) []byte {
 	return append(b, '}')
 }
 
-// segStart returns the byte offset where entry i starts inside a
-// queue/top buffer rendered as "[e0,e1,...]" with ends[i] marking the
+// segStart returns the byte offset where entry i starts inside the
+// top-user buffer rendered as "[e0,e1,...]" with ends[i] marking the
 // offset just past entry i.
 func segStart(ends []int, i int) int {
 	if i == 0 {
@@ -258,32 +248,21 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 		writeV1Error(w, e)
 		return
 	}
-	// MaxInt64 is the "newest" sentinel: both serving paths clamp it to
-	// their current promotion count, so the cursor is validated exactly
-	// once regardless of which path answers.
+	// MaxInt64 is the "newest" sentinel; it clamps to the newest
+	// promotion like any position past the end.
 	pos, fromCursor, e := s.v1CursorPos(r.URL.RawQuery, apiv1.CursorFrontPage, math.MaxInt64)
 	if e != nil {
 		writeV1Error(w, e)
 		return
 	}
 	view := s.snap.view.Load()
-	total := view.fpTotal
+	total := len(view.promoted)
 	pos = min64(pos, int64(total)-1)
 	if pos < 0 {
 		s.writeV1EmptyStories(w, total)
 		return
 	}
-	remaining := int(pos) + 1
-	n := limit
-	if n > remaining {
-		n = remaining
-	}
-	// Entry index inside the view's newest-first rendering.
-	i0 := total - 1 - int(pos)
-	if i0+n > len(view.fpEnds) {
-		s.v1FrontPageLocked(w, pos, limit)
-		return
-	}
+	n := min(limit, int(pos)+1)
 	h := w.Header()
 	if !fromCursor {
 		// First pages are revalidatable: the whole response is a pure
@@ -304,52 +283,15 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 	}
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"stories":[`...)
-	for i := i0; i < i0+n; i++ {
-		if i > i0 {
+	for k := 0; k < n; k++ {
+		if k > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, view.fpBuf[segStart(view.fpEnds, i):view.fpEnds[i]]...)
+		b = append(b, view.summaries[view.promoted[int(pos)-k]]...)
 	}
 	b = appendPageTail(b, total, next)
 	writeRaw(w, b)
 	putBuf(bp, b)
-}
-
-// v1FrontPageLocked serves a front-page cursor page from a locked
-// point-in-time read over the append-only promotion list. pos is the
-// already-validated cursor position (MaxInt64 for "newest").
-func (s *Server) v1FrontPageLocked(w http.ResponseWriter, pos int64, limit int) {
-	s.mu.RLock()
-	ids := s.store.PromotedIDs()
-	gen := s.store.Generation()
-	gens := s.shardGensLocked()
-	total := len(ids)
-	pos = min64(pos, int64(total)-1)
-	if pos < 0 {
-		s.mu.RUnlock()
-		s.writeV1EmptyStories(w, total)
-		return
-	}
-	n := limit
-	if remaining := int(pos) + 1; n > remaining {
-		n = remaining
-	}
-	page := apiv1.StoriesPage{Total: total, Stories: make([]StorySummary, 0, n)}
-	for k := 0; k < n; k++ {
-		st, err := s.store.Story(ids[int(pos)-k])
-		if err != nil {
-			continue // unreachable: promoted ids always resolve
-		}
-		page.Stories = append(page.Stories, summarize(st))
-	}
-	s.mu.RUnlock()
-	if nextPos := pos - int64(n); nextPos >= 0 {
-		page.NextCursor = apiv1.CursorPayload{
-			Kind: apiv1.CursorFrontPage, Gen: gen, Pos: nextPos,
-			ShardGens: gens,
-		}.Encode()
-	}
-	writeJSON(w, http.StatusOK, page)
 }
 
 // writeV1EmptyStories emits an exhausted stories page.
@@ -383,23 +325,23 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.clock()
 	view := s.snap.view.Load()
-	entries := view.upEntries
-	// The visibility filter runs at serve time: pre-rendered entries
-	// submitted after the current clock are skipped, so a static
-	// server's queue evolves with wall time without republication.
-	// Matches go straight into the response buffer; one extra probe
-	// match decides whether a next cursor is due without a second scan.
+	queue := view.queue
+	// The queue is newest first, so the stories strictly older than the
+	// cursor form a suffix.
+	i0 := sort.Search(len(queue), func(i int) bool { return int64(queue[i].id) < pos })
+	// The visibility filter runs at serve time: entries submitted after
+	// the current clock are skipped, so a static server's queue evolves
+	// with wall time without republication. Matches go straight into
+	// the response buffer; one extra probe match decides whether a next
+	// cursor is due without a second scan.
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"stories":[`...)
 	n, more, skipped := 0, false, false
 	var lastID digg.StoryID
-	for i := range entries {
-		e := &entries[i]
+	for i := i0; i < len(queue); i++ {
+		e := &queue[i]
 		if e.submittedAt > int64(now) {
 			skipped = true
-			continue
-		}
-		if int64(e.id) >= pos {
 			continue
 		}
 		if n == limit {
@@ -409,23 +351,15 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 		if n > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, view.upBuf[e.start:e.end]...)
+		b = append(b, view.summaries[e.id]...)
 		lastID = e.id
 		n++
 	}
-	if !more && len(entries) < view.upTotal {
-		// The rendered window ran dry but deeper unpromoted stories
-		// exist: serve the whole page from the locked path instead of
-		// mixing sources.
-		putBuf(bp, b)
-		s.v1UpcomingLocked(w, now, pos, limit)
-		return
-	}
 	h := w.Header()
 	if !fromCursor && !skipped {
-		// The rendered queue only changes with the platform generation
-		// while no future-dated entries are pending, so the snapshot
-		// ETag is a valid strong validator.
+		// The queue only changes with the platform generation while no
+		// future-dated entries are pending, so the snapshot ETag is a
+		// valid strong validator.
 		h["Etag"] = view.etag
 		h["Cache-Control"] = headerRevalidate
 		if etagMatches(r.Header.Get("If-None-Match"), view.etagStr) {
@@ -442,44 +376,9 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 			ShardGens: view.ShardGens,
 		}
 	}
-	b = appendPageTail(b, view.upTotal, next)
+	b = appendPageTail(b, len(queue), next)
 	writeRaw(w, b)
 	putBuf(bp, b)
-}
-
-// v1UpcomingLocked serves an upcoming cursor page from one locked
-// point-in-time scan.
-func (s *Server) v1UpcomingLocked(w http.ResponseWriter, now digg.Minutes, pos int64, limit int) {
-	s.mu.RLock()
-	all := s.store.Stories()
-	gen := s.store.Generation()
-	gens := s.shardGensLocked()
-	total := s.store.NumStories() - s.store.PromotedCount()
-	out := make([]StorySummary, 0, limit)
-	var lastVer uint32
-	more := false
-	for i := len(all) - 1; i >= 0; i-- {
-		st := all[i]
-		if int64(st.ID) >= pos || st.Promoted || st.SubmittedAt > now {
-			continue
-		}
-		if len(out) == limit {
-			more = true
-			break
-		}
-		out = append(out, summarize(st))
-		lastVer = s.store.StoryVersion(st.ID)
-	}
-	s.mu.RUnlock()
-	page := apiv1.StoriesPage{Total: total, Stories: out}
-	if more {
-		page.NextCursor = apiv1.CursorPayload{
-			Kind: apiv1.CursorUpcoming, Gen: gen,
-			Pos: int64(out[len(out)-1].ID), Ver: uint64(lastVer),
-			ShardGens: gens,
-		}.Encode()
-	}
-	writeJSON(w, http.StatusOK, page)
 }
 
 // --- top users ---
@@ -505,16 +404,9 @@ func (s *Server) handleV1TopUsers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := s.snap.view.Load()
-	total := view.topTotal
+	total := len(view.topEnds)
 	start := int(min64(pos, int64(total)))
-	end := start + limit
-	if end > total {
-		end = total
-	}
-	if end > len(view.topEnds) {
-		s.v1TopUsersLocked(w, pos, limit)
-		return
-	}
+	end := min(start+limit, total)
 	var next apiv1.CursorPayload
 	if end < total {
 		next = apiv1.CursorPayload{
@@ -530,31 +422,6 @@ func (s *Server) handleV1TopUsers(w http.ResponseWriter, r *http.Request) {
 	b = appendPageTail(b, total, next)
 	writeRaw(w, b)
 	putBuf(bp, b)
-}
-
-func (s *Server) v1TopUsersLocked(w http.ResponseWriter, pos int64, limit int) {
-	s.mu.RLock()
-	total := len(s.store.Ranks())
-	gen := s.store.Generation()
-	gens := s.shardGensLocked()
-	start := int(min64(pos, int64(total)))
-	end := start + limit
-	if end > total {
-		end = total
-	}
-	users := s.store.TopUsers(end)
-	s.mu.RUnlock()
-	if start > len(users) {
-		start = len(users)
-	}
-	page := apiv1.TopUsersPage{Total: total, Users: users[start:]}
-	if end < total {
-		page.NextCursor = apiv1.CursorPayload{
-			Kind: apiv1.CursorTopUsers, Gen: gen, Pos: int64(end),
-			ShardGens: gens,
-		}.Encode()
-	}
-	writeJSON(w, http.StatusOK, page)
 }
 
 // --- users and links ---

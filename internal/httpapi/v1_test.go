@@ -261,17 +261,17 @@ func TestV1CursorExhaustion(t *testing.T) {
 	}
 }
 
-// TestV1DeepCursorFallback pushes both queues past the pre-rendered
-// snapshot depth, so cursor pages must cross from the snapshot path to
-// the locked fallback mid-crawl and still cover everything exactly
-// once.
+// TestV1DeepCursorFallback crawls both queues well past the 100
+// entries views once pre-rendered (where cursor pages used to cross
+// onto a locked fallback): every page comes from the snapshot and the
+// crawl must still cover everything exactly once, in order.
 func TestV1DeepCursorFallback(t *testing.T) {
 	g, err := graph.FromEdgeList(10, [][2]graph.NodeID{{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := digg.NewPlatform(g, digg.NeverPromote{})
-	const n = 2*maxRenderQueue + 40
+	const n = 240
 	for i := 0; i < n; i++ {
 		st := &digg.Story{
 			ID: digg.StoryID(i), Title: fmt.Sprintf("s%d", i), Submitter: digg.UserID(i % 10),
@@ -708,12 +708,12 @@ func runCursorCrawlUnderLiveWriter(t *testing.T, newStore func(*graph.Graph, dig
 	}
 }
 
-// TestV1TopUsersPastRenderDepth crawls the reputation ranking across
-// the snapshot's pre-rendered depth (maxRenderTop): pages past it come
-// from the locked fallback, and the concatenation must still equal the
-// store's ranking — no duplicates, no gaps, one total throughout.
+// TestV1TopUsersPastRenderDepth crawls a reputation ranking longer
+// than the 1,024 entries views once pre-rendered (past which a locked
+// fallback used to answer): the concatenation must equal the store's
+// ranking — no duplicates, no gaps, one total throughout.
 func TestV1TopUsersPastRenderDepth(t *testing.T) {
-	const users = maxRenderTop + 476
+	const users = 1500
 	g, err := graph.FromEdgeList(users, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -742,7 +742,7 @@ func TestV1TopUsersPastRenderDepth(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 
-	// 300-entry pages: the fourth straddles the 1,024-entry boundary.
+	// 300-entry pages: the fourth straddles the old 1,024-entry depth.
 	var got []digg.UserID
 	seen := make(map[digg.UserID]bool, users)
 	for page, err := range c.TopUsersPages(context.Background(), 300) {

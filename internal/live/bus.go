@@ -12,13 +12,6 @@ import (
 // subscriber may fall behind before it starts losing events.
 const DefaultBusCapacity = 4096
 
-// DefaultSubscriberBuffer is retained for callers of the pre-ring API;
-// it now aliases the shared ring default.
-//
-// Deprecated: the bus keeps one shared ring, not per-subscriber
-// buffers. Use DefaultBusCapacity.
-const DefaultSubscriberBuffer = DefaultBusCapacity
-
 // busEntry is one published event paired with its sequence number. The
 // pair is immutable once stored, so a reader that loaded the pointer
 // can never observe a torn event — overwrite replaces the pointer, not
@@ -98,10 +91,6 @@ func NewBus(capacity int) *Bus {
 	go b.waker()
 	return b
 }
-
-// Capacity returns the ring size: the number of most-recent events a
-// subscriber can be behind by before it starts losing them.
-func (b *Bus) Capacity() int { return int(b.capacity) }
 
 // Publish stamps ev with the next sequence number, stores it in the
 // ring and returns the assigned sequence. Cost is independent of the

@@ -19,9 +19,10 @@ import (
 
 // histStep times each state-changing StepTo: the whole write-locked
 // section plus the snapshot republish — the window during which the
-// serving layer's locked fallbacks queue behind the writer. A tick
-// whose step duration approaches the tick interval is the simulation
-// falling behind.
+// serving layer's locked reads (story details newer than the snapshot,
+// detail-cache fills) queue behind the writer. A tick whose step
+// duration approaches the tick interval is the simulation falling
+// behind.
 var histStep = obs.Default.Histogram("diggsim_live_step_seconds", "",
 	"Live simulation step duration (write-locked apply plus snapshot republish).")
 

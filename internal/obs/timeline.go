@@ -71,9 +71,6 @@ func NewTimeline(reg *Registry, depth int, interval time.Duration) *Timeline {
 // Interval returns the nominal capture cadence.
 func (tl *Timeline) Interval() time.Duration { return tl.interval }
 
-// Depth returns the maximum number of retained snapshots.
-func (tl *Timeline) Depth() int { return tl.depth }
-
 // Len returns the number of snapshots currently retained.
 func (tl *Timeline) Len() int {
 	tl.mu.Lock()
