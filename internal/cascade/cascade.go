@@ -230,10 +230,3 @@ func MaxDepth(parent []int) int {
 	}
 	return best
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -530,10 +530,3 @@ func histSeries[K comparable](m map[K]int) [2][]float64 {
 	}
 	return [2][]float64{xs, ys}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

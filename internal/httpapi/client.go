@@ -110,12 +110,6 @@ func NewClientWith(baseURL string, opts ClientOptions) *Client {
 	return c
 }
 
-// APIError is re-exported in types.go as an alias of apiv1.Error; the
-// helper keeps old call sites readable.
-func asAPIError(err error, target **apiv1.Error) bool {
-	return errors.As(err, target)
-}
-
 // do performs one request with retries, decoding a JSON response into
 // out (which may be nil).
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
@@ -205,13 +199,13 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 			return nil
 		}
 		var apiErr *apiv1.Error
-		if asAPIError(err, &apiErr) && apiErr.TraceID == "" {
+		if errors.As(err, &apiErr) && apiErr.TraceID == "" {
 			// The server's echoed header wins (errorFromBody set it when
 			// present); otherwise record the ID this call sent, so even
 			// a connection-level failure is joinable to server logs.
 			apiErr.TraceID = traceID
 		}
-		if asAPIError(err, &apiErr) &&
+		if errors.As(err, &apiErr) &&
 			(apiErr.StatusCode == http.StatusTooManyRequests ||
 				(apiErr.StatusCode >= 500 && retryTransient)) {
 			lastErr = err
@@ -338,7 +332,7 @@ func (c *Client) Health(ctx context.Context) error {
 
 // FrontPage fetches up to limit promoted stories, newest promotion
 // first (the first cursor page; use FrontPagePages to crawl deeper).
-func (c *Client) FrontPage(ctx context.Context, limit int) ([]StorySummary, error) {
+func (c *Client) FrontPage(ctx context.Context, limit int) ([]apiv1.StorySummary, error) {
 	var out apiv1.StoriesPage
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/frontpage?limit=%d", limit), nil, &out)
 	return out.Stories, err
@@ -346,7 +340,7 @@ func (c *Client) FrontPage(ctx context.Context, limit int) ([]StorySummary, erro
 
 // Upcoming fetches up to limit unpromoted stories, newest first (the
 // first cursor page; use UpcomingPages to crawl deeper).
-func (c *Client) Upcoming(ctx context.Context, limit int) ([]StorySummary, error) {
+func (c *Client) Upcoming(ctx context.Context, limit int) ([]apiv1.StorySummary, error) {
 	var out apiv1.StoriesPage
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/upcoming?limit=%d", limit), nil, &out)
 	return out.Stories, err
@@ -446,15 +440,15 @@ func (c *Client) ObsDump(ctx context.Context) (apiv1.ObsDump, error) {
 }
 
 // Story fetches a story with its full chronological vote list.
-func (c *Client) Story(ctx context.Context, id digg.StoryID) (StoryDetail, error) {
-	var out StoryDetail
+func (c *Client) Story(ctx context.Context, id digg.StoryID) (apiv1.StoryDetail, error) {
+	var out apiv1.StoryDetail
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/stories/%d", id), nil, &out)
 	return out, err
 }
 
 // User fetches a user's profile.
-func (c *Client) User(ctx context.Context, id digg.UserID) (UserInfo, error) {
-	var out UserInfo
+func (c *Client) User(ctx context.Context, id digg.UserID) (apiv1.UserInfo, error) {
+	var out apiv1.UserInfo
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/users/%d", id), nil, &out)
 	return out, err
 }
@@ -518,15 +512,15 @@ func (c *Client) TopUsersPages(ctx context.Context, pageSize int) iter.Seq2[apiv
 }
 
 // Submit creates a story.
-func (c *Client) Submit(ctx context.Context, req SubmitRequest) (StoryDetail, error) {
-	var out StoryDetail
+func (c *Client) Submit(ctx context.Context, req apiv1.SubmitRequest) (apiv1.StoryDetail, error) {
+	var out apiv1.StoryDetail
 	err := c.do(ctx, http.MethodPost, "/v1/stories", req, &out)
 	return out, err
 }
 
 // Digg casts a vote.
-func (c *Client) Digg(ctx context.Context, id digg.StoryID, req DiggRequest) (DiggResponse, error) {
-	var out DiggResponse
+func (c *Client) Digg(ctx context.Context, id digg.StoryID, req apiv1.DiggRequest) (apiv1.DiggResponse, error) {
+	var out apiv1.DiggResponse
 	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/stories/%d/digg", id), req, &out)
 	return out, err
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
 	"diggsim/internal/live"
 	"diggsim/internal/obs"
@@ -64,7 +65,7 @@ func TestFreshnessSubmitToSSEDelivery(t *testing.T) {
 	// One HTTP submit: one http-source observation, and the story is
 	// already visible on the read path when the write returns (the
 	// span closes after republish, so anything else would be a lie).
-	st, err := c.Submit(ctx, SubmitRequest{Submitter: 1, Title: "fresh-e2e", Interest: 0.5, At: 101})
+	st, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 1, Title: "fresh-e2e", Interest: 0.5, At: 101})
 	if err != nil {
 		t.Fatal(err)
 	}

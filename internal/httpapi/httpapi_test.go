@@ -41,7 +41,7 @@ func TestHealth(t *testing.T) {
 func TestSubmitAndFetchStory(t *testing.T) {
 	_, _, c := newTestServer(t)
 	ctx := context.Background()
-	created, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "hello", Interest: 0.5, At: 10})
+	created, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "hello", Interest: 0.5, At: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestSubmitAndFetchStory(t *testing.T) {
 func TestDiggFlow(t *testing.T) {
 	_, _, c := newTestServer(t)
 	ctx := context.Background()
-	st, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "t", At: 10})
+	st, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "t", At: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fan vote: in-network.
-	res, err := c.Digg(ctx, st.ID, DiggRequest{Voter: 1, At: 11})
+	res, err := c.Digg(ctx, st.ID, apiv1.DiggRequest{Voter: 1, At: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDiggFlow(t *testing.T) {
 		t.Errorf("fan vote = %+v", res)
 	}
 	// Third vote promotes (threshold 3).
-	res, err = c.Digg(ctx, st.ID, DiggRequest{Voter: 5, At: 12})
+	res, err = c.Digg(ctx, st.ID, apiv1.DiggRequest{Voter: 5, At: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestDiggFlow(t *testing.T) {
 		t.Errorf("promoting vote = %+v", res)
 	}
 	// Duplicate vote: 409.
-	_, err = c.Digg(ctx, st.ID, DiggRequest{Voter: 5, At: 13})
-	apiErr, ok := err.(*APIError)
+	_, err = c.Digg(ctx, st.ID, apiv1.DiggRequest{Voter: 5, At: 13})
+	apiErr, ok := err.(*apiv1.Error)
 	if !ok || apiErr.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate vote err = %v", err)
 	}
@@ -99,8 +99,8 @@ func TestDiggFlow(t *testing.T) {
 func TestUpcomingQueue(t *testing.T) {
 	srv, _, c := newTestServer(t)
 	ctx := context.Background()
-	a, _ := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "a", At: 10})
-	b, _ := c.Submit(ctx, SubmitRequest{Submitter: 1, Title: "b", At: 20})
+	a, _ := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "a", At: 10})
+	b, _ := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 1, Title: "b", At: 20})
 	up, err := c.Upcoming(ctx, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -150,17 +150,17 @@ func TestErrorStatuses(t *testing.T) {
 	ctx := context.Background()
 	// Missing story: 404.
 	_, err := c.Story(ctx, 999)
-	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusNotFound {
+	if apiErr, ok := err.(*apiv1.Error); !ok || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("missing story err = %v", err)
 	}
 	// Missing user: 404.
 	_, err = c.User(ctx, 999)
-	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusNotFound {
+	if apiErr, ok := err.(*apiv1.Error); !ok || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("missing user err = %v", err)
 	}
 	// Unknown submitter: 400.
-	_, err = c.Submit(ctx, SubmitRequest{Submitter: 999, Title: "x", At: 1})
-	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusBadRequest {
+	_, err = c.Submit(ctx, apiv1.SubmitRequest{Submitter: 999, Title: "x", At: 1})
+	if apiErr, ok := err.(*apiv1.Error); !ok || apiErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad submitter err = %v", err)
 	}
 	// Bad limit query and bad path id: 400 invalid_argument.

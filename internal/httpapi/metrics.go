@@ -2,110 +2,127 @@ package httpapi
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"strconv"
 
+	"diggsim/internal/live"
 	"diggsim/internal/obs"
+	"diggsim/internal/repl"
 	"diggsim/internal/shard"
 )
 
 // handleMetricsProm serves GET /metrics in the Prometheus text
-// exposition format (version 0.0.4): the middleware's request counters
-// plus platform gauges, and — when the store is sharded — per-shard
-// write, replay, generation, and story series labeled by shard index.
-// Shard generations are plain counters on the platforms, so they are
-// read under the server's read lock like any other store query.
+// exposition format (version 0.0.4): this server's state families
+// (s.reg, see registerCollectors) followed by the process-wide
+// instruments in obs.Default.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
-	if s.metrics != nil {
-		m := s.metrics.Snapshot()
-		promCounter(&b, "diggsim_http_requests_total", "HTTP requests served, including rejected ones.", m.Requests)
-		promCounter(&b, "diggsim_http_errors_total", "HTTP responses with status >= 400.", m.Errors)
-		promCounter(&b, "diggsim_http_rate_limited_total", "HTTP requests rejected with 429 by the rate limiter.", m.RateLimited)
-		fmt.Fprintf(&b, "# HELP diggsim_http_in_flight Requests currently being served.\n")
-		fmt.Fprintf(&b, "# TYPE diggsim_http_in_flight gauge\n")
-		fmt.Fprintf(&b, "diggsim_http_in_flight %d\n", m.InFlight)
-	}
-
-	s.mu.RLock()
-	gen := s.store.Generation()
-	stories := s.store.NumStories()
-	promoted := s.store.PromotedCount()
-	var stats []shard.Stat
-	if st, ok := s.store.(interface{ Stats() []shard.Stat }); ok {
-		stats = st.Stats()
-	}
-	s.mu.RUnlock()
-
-	// The generation can reset when a fresh data directory replaces an
-	// old one, so it is a gauge, not a counter (Prometheus counter
-	// semantics would misread the reset as a rate spike).
-	promGauge(&b, "diggsim_store_generation", "Store write generation (sum of shard generations when sharded).", gen)
-	fmt.Fprintf(&b, "# HELP diggsim_store_stories Stories in the store.\n# TYPE diggsim_store_stories gauge\n")
-	fmt.Fprintf(&b, "diggsim_store_stories %d\n", stories)
-	fmt.Fprintf(&b, "# HELP diggsim_store_promoted Stories promoted to the front page.\n# TYPE diggsim_store_promoted gauge\n")
-	fmt.Fprintf(&b, "diggsim_store_promoted %d\n", promoted)
-
-	if len(stats) > 0 {
-		fmt.Fprintf(&b, "# HELP diggsim_shard_writes_total Commands applied per shard since process start.\n# TYPE diggsim_shard_writes_total counter\n")
-		for _, st := range stats {
-			fmt.Fprintf(&b, "diggsim_shard_writes_total{shard=%s} %d\n", strconv.Quote(strconv.Itoa(st.Shard)), st.Writes)
-		}
-		fmt.Fprintf(&b, "# HELP diggsim_shard_replayed_total WAL records replayed per shard at recovery.\n# TYPE diggsim_shard_replayed_total counter\n")
-		for _, st := range stats {
-			fmt.Fprintf(&b, "diggsim_shard_replayed_total{shard=%s} %d\n", strconv.Quote(strconv.Itoa(st.Shard)), st.Replayed)
-		}
-		fmt.Fprintf(&b, "# HELP diggsim_shard_generation Per-shard write generation.\n# TYPE diggsim_shard_generation gauge\n")
-		for _, st := range stats {
-			fmt.Fprintf(&b, "diggsim_shard_generation{shard=%s} %d\n", strconv.Quote(strconv.Itoa(st.Shard)), st.Generation)
-		}
-		fmt.Fprintf(&b, "# HELP diggsim_shard_stories Stories owned per shard.\n# TYPE diggsim_shard_stories gauge\n")
-		for _, st := range stats {
-			fmt.Fprintf(&b, "diggsim_shard_stories{shard=%s} %d\n", strconv.Quote(strconv.Itoa(st.Shard)), st.Stories)
-		}
-	}
-
-	if s.repl != nil {
-		sts := s.repl.ShardStatuses()
-		fmt.Fprintf(&b, "# HELP diggsim_repl_applied_lsn This node's applied WAL position per shard.\n# TYPE diggsim_repl_applied_lsn gauge\n")
-		for _, st := range sts {
-			fmt.Fprintf(&b, "diggsim_repl_applied_lsn{shard=%s} %d\n", strconv.Quote(strconv.Itoa(st.Shard)), st.AppliedLSN)
-		}
-		fmt.Fprintf(&b, "# HELP diggsim_repl_shipped_lsn The primary's head per its last heartbeat, per shard.\n# TYPE diggsim_repl_shipped_lsn gauge\n")
-		for _, st := range sts {
-			fmt.Fprintf(&b, "diggsim_repl_shipped_lsn{shard=%s} %d\n", strconv.Quote(strconv.Itoa(st.Shard)), st.ShippedLSN)
-		}
-		// diggsim_repl_lag_seconds (per-shard histograms) and the
-		// reconnect/apply counters arrive via the obs registry below.
-	}
-
-	if s.live != nil {
-		ls := s.live.Stats()
-		promGauge(&b, "diggsim_live_sim_minutes", "Current simulation time in sim-minutes.", uint64(ls.SimNow))
-		promCounter(&b, "diggsim_live_submits_total", "Stories submitted by the live simulation.", ls.Submits)
-		promCounter(&b, "diggsim_live_diggs_total", "Votes applied by the live simulation.", ls.Diggs)
-		promCounter(&b, "diggsim_live_promotions_total", "Front-page promotions by the live simulation.", ls.Promotions)
-		promGauge(&b, "diggsim_live_bus_subscribers", "Subscribers on the live event bus.", uint64(ls.Subscribers))
-		promCounter(&b, "diggsim_live_bus_events_total", "Events published to the live bus.", ls.EventsPublished)
-		promCounter(&b, "diggsim_live_bus_dropped_total", "Events dropped because a subscriber's ring was full.", ls.EventsDropped)
-		promGauge(&b, "diggsim_live_bus_max_queue", "High-water mark of any subscriber's queue (bus lag).", uint64(ls.MaxSubscriberQueue))
-	}
-
-	// The obs registry: latency histograms and counters recorded across
-	// the serve/write/durability layers.
+	s.reg.WritePrometheus(&b)
 	obs.Default.WritePrometheus(&b)
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(b.Bytes())
 }
 
-// promCounter writes one unlabeled counter with its HELP/TYPE header.
-func promCounter(b *bytes.Buffer, name, help string, v uint64) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// registerCollectors exports the server's own state as collectors on
+// s.reg, read at scrape and timeline-capture time only: the
+// middleware's request counters (with AttachMetrics), store gauges,
+// per-shard series labeled by shard index (sharded stores),
+// replication positions (with AttachRepl), live-simulation series
+// (with AttachLive) and the published view's generation. Store reads
+// take the server's read lock like any other store query. Handler
+// calls it once the first view is published.
+func (s *Server) registerCollectors() {
+	value := func(family, kind, help string, read func() uint64) {
+		s.reg.Collect(family, kind, help, func(emit func(string, uint64)) { emit("", read()) })
+	}
+	locked := func(read func() uint64) func() uint64 {
+		return func() uint64 {
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			return read()
+		}
+	}
+
+	if m := s.metrics; m != nil {
+		value("diggsim_http_requests_total", "counter", "HTTP requests served, including rejected ones.", m.requests.Load)
+		value("diggsim_http_errors_total", "counter", "HTTP responses with status >= 400.", m.errors.Load)
+		value("diggsim_http_rate_limited_total", "counter", "HTTP requests rejected with 429 by the rate limiter.", m.limited.Load)
+		value("diggsim_http_in_flight", "gauge", "Requests currently being served.",
+			func() uint64 { return uint64(m.inFlight.Load()) })
+	}
+
+	// The generation can reset when a fresh data directory replaces an
+	// old one, so it is a gauge, not a counter (Prometheus counter
+	// semantics would misread the reset as a rate spike).
+	value("diggsim_store_generation", "gauge", "Store write generation (sum of shard generations when sharded).",
+		locked(s.store.Generation))
+	value("diggsim_store_stories", "gauge", "Stories in the store.",
+		locked(func() uint64 { return uint64(s.store.NumStories()) }))
+	value("diggsim_store_promoted", "gauge", "Stories promoted to the front page.",
+		locked(func() uint64 { return uint64(s.store.PromotedCount()) }))
+
+	if st, ok := s.store.(interface{ Stats() []shard.Stat }); ok {
+		stat := func(family, kind, help string, pick func(shard.Stat) uint64) {
+			s.reg.Collect(family, kind, help, func(emit func(string, uint64)) {
+				s.mu.RLock()
+				stats := st.Stats()
+				s.mu.RUnlock()
+				for _, x := range stats {
+					emit(shardLabel(x.Shard), pick(x))
+				}
+			})
+		}
+		stat("diggsim_shard_writes_total", "counter", "Commands applied per shard since process start.",
+			func(x shard.Stat) uint64 { return x.Writes })
+		stat("diggsim_shard_replayed_total", "counter", "WAL records replayed per shard at recovery.",
+			func(x shard.Stat) uint64 { return x.Replayed })
+		stat("diggsim_shard_generation", "gauge", "Per-shard write generation.",
+			func(x shard.Stat) uint64 { return x.Generation })
+		stat("diggsim_shard_stories", "gauge", "Stories owned per shard.",
+			func(x shard.Stat) uint64 { return uint64(x.Stories) })
+	}
+
+	if f := s.repl; f != nil {
+		// diggsim_repl_lag_seconds (per-shard histograms) and the
+		// reconnect/apply counters are process-wide, in obs.Default.
+		lsn := func(family, help string, pick func(repl.ShardStatus) uint64) {
+			s.reg.Collect(family, "gauge", help, func(emit func(string, uint64)) {
+				for _, st := range f.ShardStatuses() {
+					emit(shardLabel(st.Shard), pick(st))
+				}
+			})
+		}
+		lsn("diggsim_repl_applied_lsn", "This node's applied WAL position per shard.",
+			func(st repl.ShardStatus) uint64 { return st.AppliedLSN })
+		lsn("diggsim_repl_shipped_lsn", "The primary's head per its last heartbeat, per shard.",
+			func(st repl.ShardStatus) uint64 { return st.ShippedLSN })
+	}
+
+	if svc := s.live; svc != nil {
+		stat := func(pick func(live.Stats) uint64) func() uint64 {
+			return func() uint64 { return pick(svc.Stats()) }
+		}
+		value("diggsim_live_sim_minutes", "gauge", "Current simulation time in sim-minutes.",
+			stat(func(ls live.Stats) uint64 { return uint64(ls.SimNow) }))
+		value("diggsim_live_submits_total", "counter", "Stories submitted by the live simulation.",
+			stat(func(ls live.Stats) uint64 { return ls.Submits }))
+		value("diggsim_live_diggs_total", "counter", "Votes applied by the live simulation.",
+			stat(func(ls live.Stats) uint64 { return ls.Diggs }))
+		value("diggsim_live_promotions_total", "counter", "Front-page promotions by the live simulation.",
+			stat(func(ls live.Stats) uint64 { return ls.Promotions }))
+		value("diggsim_live_bus_subscribers", "gauge", "Subscribers on the live event bus.",
+			stat(func(ls live.Stats) uint64 { return uint64(ls.Subscribers) }))
+		value("diggsim_live_bus_events_total", "counter", "Events published to the live bus.",
+			stat(func(ls live.Stats) uint64 { return ls.EventsPublished }))
+		value("diggsim_live_bus_dropped_total", "counter", "Events dropped because a subscriber's ring was full.",
+			stat(func(ls live.Stats) uint64 { return ls.EventsDropped }))
+		value("diggsim_live_bus_max_queue", "gauge", "High-water mark of any subscriber's queue (bus lag).",
+			stat(func(ls live.Stats) uint64 { return uint64(ls.MaxSubscriberQueue) }))
+	}
+
+	value("diggsim_snapshot_view_generation", "gauge", "Store generation of the currently published read view.",
+		func() uint64 { return s.snap.view.Load().Gen })
 }
 
-// promGauge writes one unlabeled gauge with its HELP/TYPE header.
-func promGauge(b *bytes.Buffer, name, help string, v uint64) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-}
+// shardLabel is the label pair of a per-shard series.
+func shardLabel(i int) string { return `shard="` + strconv.Itoa(i) + `"` }

@@ -9,10 +9,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"diggsim/internal/digg"
 	"diggsim/internal/durable"
 	"diggsim/internal/graph"
+	"diggsim/internal/live"
+	"diggsim/internal/obs"
+	"diggsim/internal/rng"
 	"diggsim/internal/shard"
 	"diggsim/internal/wal"
 )
@@ -85,26 +89,134 @@ func TestMetricsExpositionLint(t *testing.T) {
 
 	types := lintExposition(t, w.Body.String())
 
-	// The acceptance-criteria histogram families must all be present
-	// and typed histogram after the traffic above.
-	for _, fam := range []string{
-		"diggsim_http_request_seconds",
-		"diggsim_wal_append_seconds",
-		"diggsim_wal_fsync_seconds",
-		"diggsim_shard_apply_seconds",
-		"diggsim_snapshot_rebuild_seconds",
-		"diggsim_checkpoint_build_seconds",
-		"diggsim_checkpoint_write_seconds",
+	// Every family this configuration exports must be present with its
+	// type after the traffic above. Generations reset with a fresh data
+	// directory: gauges, not counters (the regression this test pins
+	// down).
+	for fam, want := range map[string]string{
+		"diggsim_http_request_seconds":     "histogram",
+		"diggsim_wal_append_seconds":       "histogram",
+		"diggsim_wal_fsync_seconds":        "histogram",
+		"diggsim_shard_apply_seconds":      "histogram",
+		"diggsim_snapshot_rebuild_seconds": "histogram",
+		"diggsim_checkpoint_build_seconds": "histogram",
+		"diggsim_checkpoint_write_seconds": "histogram",
+		"diggsim_http_requests_total":      "counter",
+		"diggsim_http_errors_total":        "counter",
+		"diggsim_http_rate_limited_total":  "counter",
+		"diggsim_http_in_flight":           "gauge",
+		"diggsim_store_generation":         "gauge",
+		"diggsim_store_stories":            "gauge",
+		"diggsim_store_promoted":           "gauge",
+		"diggsim_shard_writes_total":       "counter",
+		"diggsim_shard_replayed_total":     "counter",
+		"diggsim_shard_generation":         "gauge",
+		"diggsim_shard_stories":            "gauge",
+		"diggsim_snapshot_view_generation": "gauge",
 	} {
-		if got := types[fam]; got != "histogram" {
-			t.Errorf("family %s: type %q, want histogram", fam, got)
+		if got := types[fam]; got != want {
+			t.Errorf("family %s: type %q, want %s", fam, got, want)
 		}
 	}
-	// Generations reset with a fresh data directory: gauges, not
-	// counters (the regression this test pins down).
-	for _, fam := range []string{"diggsim_store_generation", "diggsim_shard_generation"} {
-		if got := types[fam]; got != "gauge" {
-			t.Errorf("family %s: type %q, want gauge", fam, got)
+}
+
+// TestTimelineCapturesEveryFamily boots a live server over a sharded
+// durable store with request metrics and a timeline attached, and
+// checks that every family GET /metrics declares reaches the timeline
+// with the same kind: the server's own families (request counters,
+// store, shard and live series) are captured through its registry,
+// not only the process-wide instruments.
+func TestTimelineCapturesEveryFamily(t *testing.T) {
+	g, err := graph.PreferentialAttachment(rng.New(11), 500, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := digg.NewPlatform(g, &digg.ClassicPromotion{VoteThreshold: 8, Window: digg.Day})
+	store, err := shard.Create(t.TempDir(), p, 2, []byte(`{"test":"timeline-families"}`),
+		durable.Options{Sync: wal.SyncAlways, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	svc, err := live.NewService(store, live.Config{Seed: 5, SubmissionsPerHour: 300, StartAt: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store, 100, nil)
+	srv.AttachLive(svc)
+	m := NewMetrics()
+	srv.AttachMetrics(m)
+	tl := obs.NewTimeline(obs.Default, 16, time.Second)
+	srv.AttachTimeline(tl)
+	h := m.Middleware(srv.Handler())
+
+	get := func(path string) string {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d (%s)", path, w.Code, w.Body.String())
+		}
+		return w.Body.String()
+	}
+	get("/v1/frontpage?limit=5")
+	if err := svc.StepTo(160); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Now()
+	tl.Capture(base)
+	// Scrape between the captures, so every family it declares was
+	// registered before the second one.
+	types := lintExposition(t, get("/metrics"))
+	tl.Capture(base.Add(time.Second))
+
+	kinds := make(map[string]string)
+	for _, ts := range tl.Dump(time.Minute, time.Second) {
+		kinds[ts.Name] = ts.Kind
+	}
+	var missing []string
+	for fam, typ := range types {
+		if kind, ok := kinds[fam]; !ok {
+			missing = append(missing, fam)
+		} else if kind != typ {
+			t.Errorf("family %s: timeline kind %q, /metrics type %q", fam, kind, typ)
+		}
+	}
+	sort.Strings(missing)
+	if len(missing) > 0 {
+		t.Errorf("%d of %d /metrics families missing from the timeline: %v", len(missing), len(types), missing)
+	}
+	for _, fam := range []string{"diggsim_http_requests_total", "diggsim_shard_writes_total", "diggsim_live_diggs_total"} {
+		if _, ok := types[fam]; !ok {
+			t.Errorf("/metrics does not declare %s", fam)
+		}
+	}
+}
+
+// TestMetricsReportOwnServer serves two stores from one process: each
+// server's /metrics reports its own store, because a server's state
+// families live in its own registry rather than the process-wide one.
+func TestMetricsReportOwnServer(t *testing.T) {
+	g, err := graph.FromEdgeList(4, [][2]graph.NodeID{{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handlers []http.Handler
+	for n := 1; n <= 2; n++ {
+		p := digg.NewPlatform(g, &digg.ClassicPromotion{VoteThreshold: 3, Window: digg.Day})
+		for i := 0; i < n; i++ {
+			if _, err := p.Submit(0, fmt.Sprintf("story-%d", i), 0.5, digg.Minutes(10+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		handlers = append(handlers, NewServer(p, 100, nil).Handler())
+	}
+	for i, h := range handlers {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		want := fmt.Sprintf("\ndiggsim_store_stories %d\n", i+1)
+		if !strings.Contains(w.Body.String(), want) {
+			t.Errorf("server %d: /metrics lacks %q", i, strings.TrimSpace(want))
 		}
 	}
 }

@@ -160,7 +160,7 @@ func (l *RateLimiter) Middleware(next http.Handler) http.Handler {
 			if secs < 1 {
 				secs = 1
 			}
-			writeV1Error(w, &apiv1.Error{
+			writeError(w, &apiv1.Error{
 				StatusCode: http.StatusTooManyRequests,
 				Code:       apiv1.CodeRateLimited,
 				Message:    "rate limit exceeded",

@@ -153,7 +153,7 @@ func TestClientRetriesOn429(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) < 3 {
-			writeV1Error(w, v1Err(http.StatusTooManyRequests, apiv1.CodeRateLimited, "slow down"))
+			writeError(w, newAPIError(http.StatusTooManyRequests, apiv1.CodeRateLimited, "slow down"))
 			return
 		}
 		w.WriteHeader(http.StatusOK)
@@ -173,7 +173,7 @@ func TestStoryListPagination(t *testing.T) {
 	_, _, c := newTestServer(t)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "t", At: int64(i + 1)}); err != nil {
+		if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "t", At: int64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,8 +31,6 @@ var (
 		"Read-view rebuild latency per republish, including re-encoding changed stories.")
 	ctrStoriesEncoded = obs.Default.Counter("diggsim_snapshot_stories_encoded_total",
 		"Story summaries re-encoded across snapshot rebuilds (cache misses; unchanged stories are reused).")
-	gaugeViewGen = obs.Default.Gauge("diggsim_snapshot_view_generation",
-		"Store generation of the currently published read view.")
 )
 
 // Freshness instruments: the write→visibility spans this serving layer

@@ -60,13 +60,13 @@ func (s *Server) replReadOnly() bool {
 	return s.repl != nil && s.repl.ReadOnly()
 }
 
-// fenceV1 rejects the write with the machine-readable envelope when
+// fence rejects the write with the machine-readable envelope when
 // this node is a read-only follower. Returns true when fenced.
-func (s *Server) fenceV1(w http.ResponseWriter) bool {
+func (s *Server) fence(w http.ResponseWriter) bool {
 	if !s.replReadOnly() {
 		return false
 	}
-	writeV1Error(w, v1Err(http.StatusServiceUnavailable, apiv1.CodeReadOnlyReplica,
+	writeError(w, newAPIError(http.StatusServiceUnavailable, apiv1.CodeReadOnlyReplica,
 		"this node is a read-only follower; write to the primary"))
 	return true
 }

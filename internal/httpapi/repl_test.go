@@ -8,6 +8,7 @@ package httpapi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -243,7 +244,7 @@ func TestFollowerFencesWrites(t *testing.T) {
 	wantFenced := func(err error) {
 		t.Helper()
 		var apiErr *apiv1.Error
-		if !asAPIError(err, &apiErr) {
+		if !errors.As(err, &apiErr) {
 			t.Fatalf("fenced write error = %v, want *apiv1.Error", err)
 		}
 		if apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.Code != apiv1.CodeReadOnlyReplica {
@@ -251,9 +252,9 @@ func TestFollowerFencesWrites(t *testing.T) {
 		}
 	}
 
-	_, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "x", At: 999})
+	_, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "x", At: 999})
 	wantFenced(err)
-	_, err = c.Digg(ctx, 0, DiggRequest{Voter: 9, At: 999})
+	_, err = c.Digg(ctx, 0, apiv1.DiggRequest{Voter: 9, At: 999})
 	wantFenced(err)
 	_, err = c.DiggBatch(ctx, apiv1.BatchDiggRequest{
 		Diggs: []apiv1.BatchDiggItem{{Story: 0, Voter: 9, At: 999}},
@@ -328,7 +329,7 @@ func TestFollowerReadyzAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(http.StatusOK)
-	st, err := c.Submit(ctx, SubmitRequest{Submitter: 3, Title: "first-post-failover", At: 2000})
+	st, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 3, Title: "first-post-failover", At: 2000})
 	if err != nil {
 		t.Fatalf("write after promotion: %v", err)
 	}

@@ -100,7 +100,7 @@ func Scrape(ctx context.Context, c *Client, cfg ScrapeConfig) (*dataset.Dataset,
 	}
 
 	// Fetch story details concurrently.
-	details, err := fetchAll(ctx, cfg.Workers, ids, func(ctx context.Context, id digg.StoryID) (StoryDetail, error) {
+	details, err := fetchAll(ctx, cfg.Workers, ids, func(ctx context.Context, id digg.StoryID) (apiv1.StoryDetail, error) {
 		return c.Story(ctx, id)
 	})
 	if err != nil {

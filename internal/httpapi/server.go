@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
 	"diggsim/internal/graph"
 	"diggsim/internal/live"
@@ -71,6 +72,11 @@ type Server struct {
 	live       *live.Service
 	metrics    *Metrics
 	snap       *snapshotStore
+	// reg holds this server's state families as collectors (see
+	// registerCollectors). It is per server, not obs.Default, so a
+	// scrape reports this server's store and a shut-down server is not
+	// kept reachable from the process-wide registry.
+	reg *obs.Registry
 
 	// repl/replSrc/replMaxLag are the replication wiring: the attached
 	// follower (write fencing, lag reporting, readiness), the node's own
@@ -109,6 +115,7 @@ func NewServer(store digg.Store, now digg.Minutes, rankOf func(digg.UserID) int)
 		now:    now,
 		rankOf: rankOf,
 		snap:   newSnapshotStore(),
+		reg:    obs.NewRegistry(),
 	}
 	s.batcher, _ = store.(digg.Batcher)
 	s.bulk, _ = store.(digg.BulkWriter)
@@ -150,7 +157,7 @@ func (s *Server) AttachLive(svc *live.Service) {
 }
 
 // AttachMetrics includes the middleware's request counters in stats
-// responses. Call before Handler.
+// responses and on /metrics. Call before Handler.
 func (s *Server) AttachMetrics(m *Metrics) { s.metrics = m }
 
 // SetWriteTraceFunc registers the durable layer's write-trace hook
@@ -189,14 +196,15 @@ func (s *Server) clock() digg.Minutes {
 	return s.now
 }
 
-// Handler publishes the initial read snapshot and returns the HTTP
-// routing table: the versioned /v1/* surface plus the health, metrics
-// and debug endpoints. Every non-streaming route is wrapped in its
-// route class's latency histogram (see obs.go). Because the snapshot
-// is published before any request can arrive, read handlers never see
-// a nil view.
+// Handler publishes the initial read snapshot, registers the server's
+// metric collectors and returns the HTTP routing table: the versioned
+// /v1/* surface plus the health, metrics and debug endpoints. Every
+// non-streaming route is wrapped in its route class's latency
+// histogram (see obs.go). Because the snapshot is published before any
+// request can arrive, read handlers never see a nil view.
 func (s *Server) Handler() http.Handler {
 	s.republish()
+	s.registerCollectors()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", timed("healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -213,7 +221,7 @@ func (s *Server) Handler() http.Handler {
 		// status/promote for elections.
 		mux.Handle("/repl/v1/", http.StripPrefix("/repl/v1", s.replSrc.Handler()))
 	}
-	s.mountV1(mux)
+	s.mountAPI(mux)
 	if s.repl != nil {
 		return replLagMiddleware(s.repl, mux)
 	}
@@ -265,7 +273,7 @@ func (s *Server) storyDetailBytes(id digg.StoryID) (buf []byte, ok bool, err err
 
 // submit performs one submission write and republishes the snapshot,
 // observing the accept→front-page-visible freshness span.
-func (s *Server) submit(req SubmitRequest, trace uint64) (StoryDetail, error) {
+func (s *Server) submit(req apiv1.SubmitRequest, trace uint64) (apiv1.StoryDetail, error) {
 	start := obs.Now()
 	at := digg.Minutes(req.At)
 	if at == 0 {
@@ -274,13 +282,13 @@ func (s *Server) submit(req SubmitRequest, trace uint64) (StoryDetail, error) {
 	s.mu.Lock()
 	s.stampWriteTrace(trace)
 	st, err := s.store.Submit(req.Submitter, req.Title, req.Interest, at)
-	var out StoryDetail
+	var out apiv1.StoryDetail
 	if err == nil {
 		out = detail(st)
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return StoryDetail{}, err
+		return apiv1.StoryDetail{}, err
 	}
 	s.republish()
 	histFreshHTTP.Observe(time.Duration(obs.Now() - start))
@@ -289,7 +297,7 @@ func (s *Server) submit(req SubmitRequest, trace uint64) (StoryDetail, error) {
 
 // digg performs one vote write and republishes the snapshot, observing
 // the accept→front-page-visible freshness span.
-func (s *Server) digg(id digg.StoryID, req DiggRequest, trace uint64) (DiggResponse, error) {
+func (s *Server) digg(id digg.StoryID, req apiv1.DiggRequest, trace uint64) (apiv1.DiggResponse, error) {
 	start := obs.Now()
 	at := digg.Minutes(req.At)
 	if at == 0 {
@@ -300,11 +308,11 @@ func (s *Server) digg(id digg.StoryID, req DiggRequest, trace uint64) (DiggRespo
 	res, err := s.store.Digg(id, req.Voter, at)
 	s.mu.Unlock()
 	if err != nil {
-		return DiggResponse{}, err
+		return apiv1.DiggResponse{}, err
 	}
 	s.republish()
 	histFreshHTTP.Observe(time.Duration(obs.Now() - start))
-	return DiggResponse{InNetwork: res.InNetwork, Promoted: res.Promoted, Votes: res.Votes}, nil
+	return apiv1.DiggResponse{InNetwork: res.InNetwork, Promoted: res.Promoted, Votes: res.Votes}, nil
 }
 
 // userInfoBytes renders a user profile into a pooled buffer. The

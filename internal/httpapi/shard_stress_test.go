@@ -94,13 +94,13 @@ func TestShardedWriteStress(t *testing.T) {
 		r := rng.New(19)
 		for round := 0; round < rounds*3; round++ {
 			if round%5 == 0 {
-				if _, err := c.Submit(ctx, SubmitRequest{Submitter: digg.UserID(r.Intn(800)), Title: "single", At: int64(9000 + round)}); err != nil {
+				if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: digg.UserID(r.Intn(800)), Title: "single", At: int64(9000 + round)}); err != nil {
 					errc <- fmt.Errorf("single submit: %w", err)
 					return
 				}
 			} else {
 				// Duplicate-vote rejections are expected; transport errors are not.
-				_, _ = c.Digg(ctx, digg.StoryID(r.Intn(40)), DiggRequest{Voter: digg.UserID(r.Intn(800)), At: int64(9000 + round)})
+				_, _ = c.Digg(ctx, digg.StoryID(r.Intn(40)), apiv1.DiggRequest{Voter: digg.UserID(r.Intn(800)), At: int64(9000 + round)})
 			}
 		}
 	}()

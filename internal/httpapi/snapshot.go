@@ -131,7 +131,6 @@ func (s *Server) republish() {
 	histSnapshotRebuild.Observe(time.Since(buildStart))
 	s.mu.RUnlock()
 	st.view.Store(view)
-	gaugeViewGen.Set(view.Gen)
 	if st.onPublish != nil {
 		st.onPublish(view)
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
 	"diggsim/internal/graph"
 	"diggsim/internal/live"
@@ -108,16 +109,16 @@ func TestConditionalGet(t *testing.T) {
 	ctx := context.Background()
 	// One promoted story (threshold 3: the submitter's vote plus two)
 	// and one upcoming, so both queues serve a non-empty first page.
-	st, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "a", At: 10})
+	st, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "a", At: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, voter := range []digg.UserID{1, 5} {
-		if _, err := c.Digg(ctx, st.ID, DiggRequest{Voter: voter, At: int64(11 + i)}); err != nil {
+		if _, err := c.Digg(ctx, st.ID, apiv1.DiggRequest{Voter: voter, At: int64(11 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "b", At: 10}); err != nil {
+	if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "b", At: 10}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -165,7 +166,7 @@ func TestConditionalGet(t *testing.T) {
 		}
 
 		// A write moves the generation: same validator now misses.
-		if _, err := c.Submit(ctx, SubmitRequest{Submitter: 1, Title: "more-" + path, At: 11}); err != nil {
+		if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 1, Title: "more-" + path, At: 11}); err != nil {
 			t.Fatal(err)
 		}
 		resp = get(path, etag)
@@ -185,10 +186,10 @@ func TestConditionalGet(t *testing.T) {
 func TestUpcomingServeTimeFilter(t *testing.T) {
 	srv, _, c := newTestServer(t)
 	ctx := context.Background()
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "now", At: 50}); err != nil {
+	if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "now", At: 50}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 1, Title: "future", At: 500}); err != nil {
+	if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 1, Title: "future", At: 500}); err != nil {
 		t.Fatal(err)
 	}
 	up, err := c.Upcoming(ctx, 10)
@@ -283,7 +284,7 @@ func TestStoryDetailNewerThanSnapshot(t *testing.T) {
 	if err == nil {
 		_, err = srv.store.Digg(st.ID, 2, 21)
 	}
-	var want StoryDetail
+	var want apiv1.StoryDetail
 	if err == nil {
 		want = detail(st)
 	}
@@ -304,7 +305,7 @@ func TestStoryDetailNewerThanSnapshot(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", stage, resp.StatusCode)
 		}
-		var got StoryDetail
+		var got apiv1.StoryDetail
 		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}

@@ -48,7 +48,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeV1Error(w, v1Err(http.StatusInternalServerError, apiv1.CodeInternal, "streaming unsupported"))
+		writeError(w, newAPIError(http.StatusInternalServerError, apiv1.CodeInternal, "streaming unsupported"))
 		return
 	}
 	bus := s.live.Bus()

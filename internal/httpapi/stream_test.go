@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
 	"diggsim/internal/graph"
 	"diggsim/internal/live"
@@ -363,7 +364,7 @@ func TestSetNowFunc(t *testing.T) {
 	var now digg.Minutes = 50
 	srv.SetNowFunc(func() digg.Minutes { return now })
 	ctx := context.Background()
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "future", At: 200}); err != nil {
+	if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "future", At: 200}); err != nil {
 		t.Fatal(err)
 	}
 	up, err := c.Upcoming(ctx, 10)
@@ -382,7 +383,7 @@ func TestSetNowFunc(t *testing.T) {
 		t.Fatalf("story not visible at now=250: %+v", up)
 	}
 	// Default timestamps come from the clock too.
-	st, err := c.Submit(ctx, SubmitRequest{Submitter: 1, Title: "stamped"})
+	st, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 1, Title: "stamped"})
 	if err != nil {
 		t.Fatal(err)
 	}

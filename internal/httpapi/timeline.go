@@ -38,11 +38,13 @@ func DefaultSLOs() []obs.SLO {
 	}
 }
 
-// AttachTimeline connects a metrics timeline: the server serves it on
-// GET /debug/timeline and gates /readyz on the burn-rate evaluation of
-// slos (DefaultSLOs when none are given). The caller owns the capture
-// loop (Timeline.Run). Call before Handler.
+// AttachTimeline connects a metrics timeline: the timeline captures
+// the server's own metric families alongside its registry, the server
+// serves it on GET /debug/timeline and gates /readyz on the burn-rate
+// evaluation of slos (DefaultSLOs when none are given). The caller
+// owns the capture loop (Timeline.Run). Call before Handler.
 func (s *Server) AttachTimeline(tl *obs.Timeline, slos ...obs.SLO) {
+	tl.Include(s.reg)
 	s.timeline = tl
 	if len(slos) == 0 {
 		slos = DefaultSLOs()
@@ -75,18 +77,18 @@ func (s *Server) degradedSLO() string {
 // SLO burn evaluation.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if s.timeline == nil {
-		writeV1Error(w, v1Err(http.StatusNotFound, apiv1.CodeNotFound, "no timeline attached"))
+		writeError(w, newAPIError(http.StatusNotFound, apiv1.CodeNotFound, "no timeline attached"))
 		return
 	}
 	window, err := queryIntRaw(r.URL.RawQuery, "window", int(defaultTimelineWindow/time.Second))
 	if err != nil || window <= 0 {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument,
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument,
 			"window must be a positive number of seconds"))
 		return
 	}
 	step, err := queryIntRaw(r.URL.RawQuery, "step", int(defaultTimelineStep/time.Second))
 	if err != nil || step <= 0 {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument,
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument,
 			"step must be a positive number of seconds"))
 		return
 	}

@@ -71,31 +71,8 @@ import (
 	"diggsim/internal/digg"
 )
 
-// The wire types are defined once in the transport-agnostic contract
-// package internal/apiv1; these aliases keep the many existing
-// consumers of the httpapi names compiling unchanged.
-type (
-	// StorySummary is the list-view representation of a story.
-	StorySummary = apiv1.StorySummary
-	// VoteRecord is one vote in a story detail response.
-	VoteRecord = apiv1.VoteRecord
-	// StoryDetail is the full story view including its vote list.
-	StoryDetail = apiv1.StoryDetail
-	// UserInfo describes a user: fan/friend counts and rank.
-	UserInfo = apiv1.UserInfo
-	// SubmitRequest creates a story.
-	SubmitRequest = apiv1.SubmitRequest
-	// DiggRequest casts a vote.
-	DiggRequest = apiv1.DiggRequest
-	// DiggResponse reports the outcome of a vote.
-	DiggResponse = apiv1.DiggResponse
-	// APIError is the typed error returned by the client SDK; inspect
-	// its Code with errors.As(err, &apiErr).
-	APIError = apiv1.Error
-)
-
-func summarize(s *digg.Story) StorySummary {
-	sum := StorySummary{
+func summarize(s *digg.Story) apiv1.StorySummary {
+	sum := apiv1.StorySummary{
 		ID:          s.ID,
 		Title:       s.Title,
 		Submitter:   s.Submitter,
@@ -109,11 +86,11 @@ func summarize(s *digg.Story) StorySummary {
 	return sum
 }
 
-func detail(s *digg.Story) StoryDetail {
-	d := StoryDetail{StorySummary: summarize(s)}
-	d.VoteList = make([]VoteRecord, len(s.Votes))
+func detail(s *digg.Story) apiv1.StoryDetail {
+	d := apiv1.StoryDetail{StorySummary: summarize(s)}
+	d.VoteList = make([]apiv1.VoteRecord, len(s.Votes))
 	for i, v := range s.Votes {
-		d.VoteList[i] = VoteRecord{Voter: v.Voter, At: int64(v.At)}
+		d.VoteList[i] = apiv1.VoteRecord{Voter: v.Voter, At: int64(v.At)}
 	}
 	return d
 }

@@ -30,21 +30,21 @@ import (
 	"diggsim/internal/obs"
 )
 
-// mountV1 registers the /v1 routes on mux, each timed under its route
+// mountAPI registers the /v1 routes on mux, each timed under its route
 // class (see obs.go).
-func (s *Server) mountV1(mux *http.ServeMux) {
-	mux.HandleFunc("GET /v1/frontpage", timed("frontpage", s.handleV1FrontPage))
-	mux.HandleFunc("GET /v1/upcoming", timed("upcoming", s.handleV1Upcoming))
-	mux.HandleFunc("GET /v1/stories", timed("stories", s.handleV1Stories))
-	mux.HandleFunc("GET /v1/stories/{id}", timed("story", s.handleV1Story))
-	mux.HandleFunc("POST /v1/stories", timed("submit", s.handleV1Submit))
-	mux.HandleFunc("POST /v1/stories/{id}/digg", timed("digg", s.handleV1Digg))
-	mux.HandleFunc("POST /v1/diggs:batch", timed("batch_digg", s.handleV1BatchDigg))
-	mux.HandleFunc("POST /v1/stories:batch", timed("batch_submit", s.handleV1BatchSubmit))
-	mux.HandleFunc("GET /v1/users/{id}", timed("user", s.handleV1User))
-	mux.HandleFunc("GET /v1/users/{id}/fans", timed("links", s.handleV1Fans))
-	mux.HandleFunc("GET /v1/users/{id}/friends", timed("links", s.handleV1Friends))
-	mux.HandleFunc("GET /v1/topusers", timed("topusers", s.handleV1TopUsers))
+func (s *Server) mountAPI(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/frontpage", timed("frontpage", s.handleFrontPage))
+	mux.HandleFunc("GET /v1/upcoming", timed("upcoming", s.handleUpcoming))
+	mux.HandleFunc("GET /v1/stories", timed("stories", s.handleStories))
+	mux.HandleFunc("GET /v1/stories/{id}", timed("story", s.handleStory))
+	mux.HandleFunc("POST /v1/stories", timed("submit", s.handleSubmit))
+	mux.HandleFunc("POST /v1/stories/{id}/digg", timed("digg", s.handleDigg))
+	mux.HandleFunc("POST /v1/diggs:batch", timed("batch_digg", s.handleBatchDigg))
+	mux.HandleFunc("POST /v1/stories:batch", timed("batch_submit", s.handleBatchSubmit))
+	mux.HandleFunc("GET /v1/users/{id}", timed("user", s.handleUser))
+	mux.HandleFunc("GET /v1/users/{id}/fans", timed("links", s.handleFans))
+	mux.HandleFunc("GET /v1/users/{id}/friends", timed("links", s.handleFriends))
+	mux.HandleFunc("GET /v1/topusers", timed("topusers", s.handleTopUsers))
 	mux.HandleFunc("GET /v1/stats", timed("stats", s.handleStats))
 	if s.live != nil {
 		// The SSE stream is long-lived; its duration is connection
@@ -53,30 +53,30 @@ func (s *Server) mountV1(mux *http.ServeMux) {
 	}
 }
 
-// v1Err builds a v1 error value.
-func v1Err(status int, code, msg string) *apiv1.Error {
+// newAPIError builds a v1 error value.
+func newAPIError(status int, code, msg string) *apiv1.Error {
 	return &apiv1.Error{StatusCode: status, Code: code, Message: msg}
 }
 
-// v1ErrorFor maps a storage-layer error onto the stable v1 code set.
-func v1ErrorFor(err error) *apiv1.Error {
+// errorFor maps a storage-layer error onto the stable v1 code set.
+func errorFor(err error) *apiv1.Error {
 	switch {
 	case errors.Is(err, digg.ErrUnknownUser):
-		return v1Err(http.StatusBadRequest, apiv1.CodeUnknownUser, err.Error())
+		return newAPIError(http.StatusBadRequest, apiv1.CodeUnknownUser, err.Error())
 	case errors.Is(err, digg.ErrAlreadyVoted):
-		return v1Err(http.StatusConflict, apiv1.CodeAlreadyVoted, err.Error())
+		return newAPIError(http.StatusConflict, apiv1.CodeAlreadyVoted, err.Error())
 	case errors.Is(err, digg.ErrStoryCompacted):
-		return v1Err(http.StatusGone, apiv1.CodeStoryGone, err.Error())
+		return newAPIError(http.StatusGone, apiv1.CodeStoryGone, err.Error())
 	case errors.Is(err, digg.ErrNoStory):
-		return v1Err(http.StatusNotFound, apiv1.CodeNotFound, err.Error())
+		return newAPIError(http.StatusNotFound, apiv1.CodeNotFound, err.Error())
 	default:
-		return v1Err(http.StatusInternalServerError, apiv1.CodeInternal, err.Error())
+		return newAPIError(http.StatusInternalServerError, apiv1.CodeInternal, err.Error())
 	}
 }
 
-// writeV1Error sends the machine-readable error envelope, mirroring
+// writeError sends the machine-readable error envelope, mirroring
 // RetryAfter into the Retry-After header.
-func writeV1Error(w http.ResponseWriter, e *apiv1.Error) {
+func writeError(w http.ResponseWriter, e *apiv1.Error) {
 	if e.RetryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
 	}
@@ -100,13 +100,13 @@ func queryRaw(rawQuery, key string) (string, bool) {
 	return "", false
 }
 
-// v1Limit parses the limit query parameter: absent or zero means def,
+// queryLimit parses the limit query parameter: absent or zero means def,
 // negative or unparsable (including overflow) is invalid_argument, and
 // anything above apiv1.MaxPageSize clamps.
-func v1Limit(rawQuery string, def int) (int, *apiv1.Error) {
+func queryLimit(rawQuery string, def int) (int, *apiv1.Error) {
 	limit, err := queryIntRaw(rawQuery, "limit", def)
 	if err != nil || limit < 0 {
-		return 0, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument,
+		return 0, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument,
 			"limit must be a non-negative integer")
 	}
 	if limit == 0 {
@@ -118,21 +118,21 @@ func v1Limit(rawQuery string, def int) (int, *apiv1.Error) {
 	return limit, nil
 }
 
-// v1CursorPos decodes the optional cursor parameter for the given
+// cursorPos decodes the optional cursor parameter for the given
 // endpoint family, returning defPos when absent and invalid_cursor on
 // any malformation or tampering. A cursor whose shard-generation
 // vector disagrees in length with the serving store's shard layout is
 // rejected too: list positions minted under one shard count are not
 // meaningful under another. Link cursors are exempt — the social
 // graph is immutable, so their positions are exact under any layout.
-func (s *Server) v1CursorPos(rawQuery string, kind apiv1.CursorKind, defPos int64) (int64, bool, *apiv1.Error) {
+func (s *Server) cursorPos(rawQuery string, kind apiv1.CursorKind, defPos int64) (int64, bool, *apiv1.Error) {
 	raw, ok := queryRaw(rawQuery, "cursor")
 	if !ok || raw == "" {
 		return defPos, false, nil
 	}
 	p, err := apiv1.Cursor(raw).Decode(kind)
 	if err != nil {
-		return 0, false, v1Err(http.StatusBadRequest, apiv1.CodeInvalidCursor,
+		return 0, false, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidCursor,
 			"cursor is malformed or was issued by a different endpoint")
 	}
 	if kind != apiv1.CursorLinks {
@@ -141,19 +141,19 @@ func (s *Server) v1CursorPos(rawQuery string, kind apiv1.CursorKind, defPos int6
 			want = s.sharded.ShardCount()
 		}
 		if len(p.ShardGens) != want {
-			return 0, false, v1Err(http.StatusBadRequest, apiv1.CodeInvalidCursor,
+			return 0, false, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidCursor,
 				"cursor was issued under a different shard layout")
 		}
 	}
 	return p.Pos, true, nil
 }
 
-// v1PathID parses the non-negative {id} path segment.
-func v1PathID(r *http.Request) (int, *apiv1.Error) {
+// pathID parses the non-negative {id} path segment.
+func pathID(r *http.Request) (int, *apiv1.Error) {
 	raw := r.PathValue("id")
 	id, err := strconv.Atoi(raw)
 	if err != nil || id < 0 {
-		return 0, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid id "+strconv.Quote(raw))
+		return 0, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid id "+strconv.Quote(raw))
 	}
 	return id, nil
 }
@@ -186,29 +186,29 @@ func segStart(ends []int, i int) int {
 
 // --- stories ---
 
-// handleV1Stories serves GET /v1/stories?cursor&limit: the full corpus
+// handleStories serves GET /v1/stories?cursor&limit: the full corpus
 // in submission order. Submission order is append-only, so the cursor
 // position (next story index) is exact across generations — a full
 // crawl under the live writer sees every story that existed when it
 // started, each exactly once.
-func (s *Server) handleV1Stories(w http.ResponseWriter, r *http.Request) {
-	limit, e := v1Limit(r.URL.RawQuery, 50)
+func (s *Server) handleStories(w http.ResponseWriter, r *http.Request) {
+	limit, e := queryLimit(r.URL.RawQuery, 50)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
-	pos, _, e := s.v1CursorPos(r.URL.RawQuery, apiv1.CursorStories, 0)
+	pos, _, e := s.cursorPos(r.URL.RawQuery, apiv1.CursorStories, 0)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	if pos < 0 {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidCursor, "negative cursor position"))
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidCursor, "negative cursor position"))
 		return
 	}
 	view := s.snap.view.Load()
 	total := len(view.summaries)
-	start := int(min64(pos, int64(total)))
+	start := int(min(pos, int64(total)))
 	end := start + limit
 	if end > total {
 		end = total
@@ -236,30 +236,30 @@ func (s *Server) handleV1Stories(w http.ResponseWriter, r *http.Request) {
 
 // --- front page ---
 
-// handleV1FrontPage serves GET /v1/frontpage?cursor&limit: promoted
+// handleFrontPage serves GET /v1/frontpage?cursor&limit: promoted
 // stories, newest promotion first. The cursor holds the promotion-
 // order index of the next entry to serve; the promotion list is
 // append-only, so the index names the same story forever and a crawl
 // under the live writer never duplicates or skips an entry (newly
 // promoted stories simply sort before the crawl's starting point).
-func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
-	limit, e := v1Limit(r.URL.RawQuery, 15)
+func (s *Server) handleFrontPage(w http.ResponseWriter, r *http.Request) {
+	limit, e := queryLimit(r.URL.RawQuery, 15)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	// MaxInt64 is the "newest" sentinel; it clamps to the newest
 	// promotion like any position past the end.
-	pos, fromCursor, e := s.v1CursorPos(r.URL.RawQuery, apiv1.CursorFrontPage, math.MaxInt64)
+	pos, fromCursor, e := s.cursorPos(r.URL.RawQuery, apiv1.CursorFrontPage, math.MaxInt64)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	view := s.snap.view.Load()
 	total := len(view.promoted)
-	pos = min64(pos, int64(total)-1)
+	pos = min(pos, int64(total)-1)
 	if pos < 0 {
-		s.writeV1EmptyStories(w, total)
+		s.writeEmptyStories(w, total)
 		return
 	}
 	n := min(limit, int(pos)+1)
@@ -294,8 +294,8 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 	putBuf(bp, b)
 }
 
-// writeV1EmptyStories emits an exhausted stories page.
-func (s *Server) writeV1EmptyStories(w http.ResponseWriter, total int) {
+// writeEmptyStories emits an exhausted stories page.
+func (s *Server) writeEmptyStories(w http.ResponseWriter, total int) {
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"stories":[`...)
 	b = appendPageTail(b, total, apiv1.CursorPayload{})
@@ -305,22 +305,22 @@ func (s *Server) writeV1EmptyStories(w http.ResponseWriter, total int) {
 
 // --- upcoming ---
 
-// handleV1Upcoming serves GET /v1/upcoming?cursor&limit: unpromoted
+// handleUpcoming serves GET /v1/upcoming?cursor&limit: unpromoted
 // stories visible at the serving clock, newest first. The cursor holds
 // the story id of the last served entry; only strictly older stories
 // follow, so a story promoted (removed from the queue) between pages
 // shifts nothing and nothing is served twice. Total counts all
 // unpromoted stories as of the serving generation, including ones not
 // yet visible at the clock.
-func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
-	limit, e := v1Limit(r.URL.RawQuery, 15)
+func (s *Server) handleUpcoming(w http.ResponseWriter, r *http.Request) {
+	limit, e := queryLimit(r.URL.RawQuery, 15)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
-	pos, fromCursor, e := s.v1CursorPos(r.URL.RawQuery, apiv1.CursorUpcoming, math.MaxInt64)
+	pos, fromCursor, e := s.cursorPos(r.URL.RawQuery, apiv1.CursorUpcoming, math.MaxInt64)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	now := s.clock()
@@ -383,29 +383,29 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 
 // --- top users ---
 
-// handleV1TopUsers serves GET /v1/topusers?cursor&limit: the
+// handleTopUsers serves GET /v1/topusers?cursor&limit: the
 // reputation ranking, best first. The cursor is the next rank index —
 // exact while the generation is unchanged; across promotions the
 // ranking may shift, which is inherent to paginating a mutable
 // leaderboard and documented in docs/api.md.
-func (s *Server) handleV1TopUsers(w http.ResponseWriter, r *http.Request) {
-	limit, e := v1Limit(r.URL.RawQuery, 100)
+func (s *Server) handleTopUsers(w http.ResponseWriter, r *http.Request) {
+	limit, e := queryLimit(r.URL.RawQuery, 100)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
-	pos, _, e := s.v1CursorPos(r.URL.RawQuery, apiv1.CursorTopUsers, 0)
+	pos, _, e := s.cursorPos(r.URL.RawQuery, apiv1.CursorTopUsers, 0)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	if pos < 0 {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidCursor, "negative cursor position"))
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidCursor, "negative cursor position"))
 		return
 	}
 	view := s.snap.view.Load()
 	total := len(view.topEnds)
-	start := int(min64(pos, int64(total)))
+	start := int(min(pos, int64(total)))
 	end := min(start+limit, total)
 	var next apiv1.CursorPayload
 	if end < total {
@@ -426,60 +426,60 @@ func (s *Server) handleV1TopUsers(w http.ResponseWriter, r *http.Request) {
 
 // --- users and links ---
 
-func (s *Server) handleV1User(w http.ResponseWriter, r *http.Request) {
-	id, e := v1PathID(r)
+func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
+	id, e := pathID(r)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	bp, buf, ok := s.userInfoBytes(digg.UserID(id))
 	if !ok {
-		writeV1Error(w, v1Err(http.StatusNotFound, apiv1.CodeNotFound, "no such user"))
+		writeError(w, newAPIError(http.StatusNotFound, apiv1.CodeNotFound, "no such user"))
 		return
 	}
 	writeRaw(w, buf)
 	putBuf(bp, buf)
 }
 
-func (s *Server) handleV1Fans(w http.ResponseWriter, r *http.Request) {
-	s.handleV1Links(w, r, true)
+func (s *Server) handleFans(w http.ResponseWriter, r *http.Request) {
+	s.handleLinks(w, r, true)
 }
 
-func (s *Server) handleV1Friends(w http.ResponseWriter, r *http.Request) {
-	s.handleV1Links(w, r, false)
+func (s *Server) handleFriends(w http.ResponseWriter, r *http.Request) {
+	s.handleLinks(w, r, false)
 }
 
-// handleV1Links serves GET /v1/users/{id}/fans|friends with cursor
+// handleLinks serves GET /v1/users/{id}/fans|friends with cursor
 // pagination over the immutable link list (the cursor is a plain
 // index; the graph never changes, so it is exact forever).
-func (s *Server) handleV1Links(w http.ResponseWriter, r *http.Request, fans bool) {
-	id, e := v1PathID(r)
+func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request, fans bool) {
+	id, e := pathID(r)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
-	limit, e := v1Limit(r.URL.RawQuery, apiv1.MaxPageSize)
+	limit, e := queryLimit(r.URL.RawQuery, apiv1.MaxPageSize)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
-	pos, _, e := s.v1CursorPos(r.URL.RawQuery, apiv1.CursorLinks, 0)
+	pos, _, e := s.cursorPos(r.URL.RawQuery, apiv1.CursorLinks, 0)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	if pos < 0 {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidCursor, "negative cursor position"))
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidCursor, "negative cursor position"))
 		return
 	}
 	u := digg.UserID(id)
 	links, ok := s.links(u, fans)
 	if !ok {
-		writeV1Error(w, v1Err(http.StatusNotFound, apiv1.CodeNotFound, "no such user"))
+		writeError(w, newAPIError(http.StatusNotFound, apiv1.CodeNotFound, "no such user"))
 		return
 	}
 	total := len(links)
-	start := int(min64(pos, int64(total)))
+	start := int(min(pos, int64(total)))
 	end := start + limit
 	if end > total {
 		end = total
@@ -493,15 +493,15 @@ func (s *Server) handleV1Links(w http.ResponseWriter, r *http.Request, fans bool
 
 // --- story detail and writes ---
 
-func (s *Server) handleV1Story(w http.ResponseWriter, r *http.Request) {
-	id, e := v1PathID(r)
+func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
+	id, e := pathID(r)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
 	buf, ok, err := s.storyDetailBytes(digg.StoryID(id))
 	if err != nil {
-		writeV1Error(w, v1Err(http.StatusNotFound, apiv1.CodeNotFound, err.Error()))
+		writeError(w, newAPIError(http.StatusNotFound, apiv1.CodeNotFound, err.Error()))
 		return
 	}
 	if ok {
@@ -512,64 +512,64 @@ func (s *Server) handleV1Story(w http.ResponseWriter, r *http.Request) {
 	// point-in-time read.
 	s.mu.RLock()
 	st, err := s.store.Story(digg.StoryID(id))
-	var out StoryDetail
+	var out apiv1.StoryDetail
 	if err == nil {
 		out = detail(st)
 	}
 	s.mu.RUnlock()
 	if err != nil {
-		writeV1Error(w, v1Err(http.StatusNotFound, apiv1.CodeNotFound, err.Error()))
+		writeError(w, newAPIError(http.StatusNotFound, apiv1.CodeNotFound, err.Error()))
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleV1Submit(w http.ResponseWriter, r *http.Request) {
-	if s.fenceV1(w) {
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if s.fence(w) {
 		return
 	}
-	var req SubmitRequest
+	var req apiv1.SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
 		return
 	}
 	st, err := s.submit(req, requestTraceID(r))
 	if err != nil {
-		writeV1Error(w, v1ErrorFor(err))
+		writeError(w, errorFor(err))
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
 }
 
-func (s *Server) handleV1Digg(w http.ResponseWriter, r *http.Request) {
-	if s.fenceV1(w) {
+func (s *Server) handleDigg(w http.ResponseWriter, r *http.Request) {
+	if s.fence(w) {
 		return
 	}
-	id, e := v1PathID(r)
+	id, e := pathID(r)
 	if e != nil {
-		writeV1Error(w, e)
+		writeError(w, e)
 		return
 	}
-	var req DiggRequest
+	var req apiv1.DiggRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
 		return
 	}
 	res, err := s.digg(digg.StoryID(id), req, requestTraceID(r))
 	if err != nil {
-		writeV1Error(w, v1ErrorFor(err))
+		writeError(w, errorFor(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleV1BatchDigg serves POST /v1/diggs:batch: up to apiv1.MaxBatch
+// handleBatchDigg serves POST /v1/diggs:batch: up to apiv1.MaxBatch
 // votes applied in one write transaction — one lock acquisition and
 // one snapshot republish for the whole batch, which is what lets
 // agent-driven load sustain several times the single-digg write rate.
 // Item failures are reported per item and do not abort the batch.
-func (s *Server) handleV1BatchDigg(w http.ResponseWriter, r *http.Request) {
-	if s.fenceV1(w) {
+func (s *Server) handleBatchDigg(w http.ResponseWriter, r *http.Request) {
+	if s.fence(w) {
 		return
 	}
 	start := obs.Now()
@@ -579,11 +579,11 @@ func (s *Server) handleV1BatchDigg(w http.ResponseWriter, r *http.Request) {
 	err := json.NewDecoder(r.Body).Decode(&req)
 	decodeSpan.End()
 	if err != nil {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
 		return
 	}
 	if len(req.Diggs) == 0 || len(req.Diggs) > apiv1.MaxBatch {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument,
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument,
 			"batch must contain between 1 and "+strconv.Itoa(apiv1.MaxBatch)+" diggs"))
 		return
 	}
@@ -611,7 +611,7 @@ func (s *Server) handleV1BatchDigg(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		for i, o := range out {
 			if o.Err != nil {
-				results[i].Error = v1ErrorFor(o.Err)
+				results[i].Error = errorFor(o.Err)
 				continue
 			}
 			results[i] = apiv1.BatchDiggResult{InNetwork: o.Result.InNetwork, Promoted: o.Result.Promoted, Votes: o.Result.Votes}
@@ -632,7 +632,7 @@ func (s *Server) handleV1BatchDigg(w http.ResponseWriter, r *http.Request) {
 			}
 			res, err := s.store.Digg(d.Story, d.Voter, at)
 			if err != nil {
-				results[i].Error = v1ErrorFor(err)
+				results[i].Error = errorFor(err)
 				continue
 			}
 			results[i] = apiv1.BatchDiggResult{InNetwork: res.InNetwork, Promoted: res.Promoted, Votes: res.Votes}
@@ -648,16 +648,16 @@ func (s *Server) handleV1BatchDigg(w http.ResponseWriter, r *http.Request) {
 	republishSpan.End()
 	histFreshHTTP.Observe(time.Duration(obs.Now() - start))
 	if werr != nil {
-		writeV1Error(w, v1ErrorFor(werr))
+		writeError(w, errorFor(werr))
 		return
 	}
 	writeJSON(w, http.StatusOK, apiv1.BatchDiggResponse{Results: results})
 }
 
-// handleV1BatchSubmit serves POST /v1/stories:batch: up to
+// handleBatchSubmit serves POST /v1/stories:batch: up to
 // apiv1.MaxBatch submissions in one write transaction.
-func (s *Server) handleV1BatchSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.fenceV1(w) {
+func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
+	if s.fence(w) {
 		return
 	}
 	start := obs.Now()
@@ -667,11 +667,11 @@ func (s *Server) handleV1BatchSubmit(w http.ResponseWriter, r *http.Request) {
 	err := json.NewDecoder(r.Body).Decode(&req)
 	decodeSpan.End()
 	if err != nil {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
 		return
 	}
 	if len(req.Stories) == 0 || len(req.Stories) > apiv1.MaxBatch {
-		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument,
+		writeError(w, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidArgument,
 			"batch must contain between 1 and "+strconv.Itoa(apiv1.MaxBatch)+" stories"))
 		return
 	}
@@ -695,7 +695,7 @@ func (s *Server) handleV1BatchSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		for i, o := range out {
 			if o.Err != nil {
-				results[i].Error = v1ErrorFor(o.Err)
+				results[i].Error = errorFor(o.Err)
 				continue
 			}
 			sum := summarize(o.Story)
@@ -714,7 +714,7 @@ func (s *Server) handleV1BatchSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 			st, err := s.store.Submit(sub.Submitter, sub.Title, sub.Interest, at)
 			if err != nil {
-				results[i].Error = v1ErrorFor(err)
+				results[i].Error = errorFor(err)
 				continue
 			}
 			sum := summarize(st)
@@ -731,15 +731,8 @@ func (s *Server) handleV1BatchSubmit(w http.ResponseWriter, r *http.Request) {
 	republishSpan.End()
 	histFreshHTTP.Observe(time.Duration(obs.Now() - start))
 	if werr != nil {
-		writeV1Error(w, v1ErrorFor(werr))
+		writeError(w, errorFor(werr))
 		return
 	}
 	writeJSON(w, http.StatusOK, apiv1.BatchSubmitResponse{Results: results})
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -31,14 +31,14 @@ func TestV1EndpointsEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	// Submit, digg, detail.
-	created, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "hello v1", Interest: 0.5, At: 10})
+	created, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "hello v1", Interest: 0.5, At: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if created.Title != "hello v1" || created.Votes != 1 {
 		t.Errorf("created = %+v", created)
 	}
-	res, err := c.Digg(ctx, created.ID, DiggRequest{Voter: 1, At: 11})
+	res, err := c.Digg(ctx, created.ID, apiv1.DiggRequest{Voter: 1, At: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestV1EndpointsEndToEnd(t *testing.T) {
 	if _, err := c.Story(ctx, 999); !errors.As(err, &apiErr) || apiErr.Code != apiv1.CodeNotFound {
 		t.Errorf("missing story err = %v", err)
 	}
-	if _, err := c.Digg(ctx, created.ID, DiggRequest{Voter: 1, At: 12}); !errors.As(err, &apiErr) ||
+	if _, err := c.Digg(ctx, created.ID, apiv1.DiggRequest{Voter: 1, At: 12}); !errors.As(err, &apiErr) ||
 		apiErr.Code != apiv1.CodeAlreadyVoted || apiErr.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate vote err = %v", err)
 	}
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 999, Title: "x", At: 1}); !errors.As(err, &apiErr) ||
+	if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 999, Title: "x", At: 1}); !errors.As(err, &apiErr) ||
 		apiErr.Code != apiv1.CodeUnknownUser {
 		t.Errorf("unknown submitter err = %v", err)
 	}
@@ -122,7 +122,7 @@ func TestV1EndpointsEndToEnd(t *testing.T) {
 		t.Errorf("friends = %v", friends)
 	}
 	// Promote (threshold 3), then the front page and topusers fill.
-	if _, err := c.Digg(ctx, created.ID, DiggRequest{Voter: 5, At: 12}); err != nil {
+	if _, err := c.Digg(ctx, created.ID, apiv1.DiggRequest{Voter: 5, At: 12}); err != nil {
 		t.Fatal(err)
 	}
 	fp, err := c.FrontPage(ctx, 10)
@@ -331,7 +331,7 @@ func TestV1InvalidCursor(t *testing.T) {
 	_, ts, c := newTestServer(t)
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "t", At: int64(i + 1)}); err != nil {
+		if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "t", At: int64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -421,7 +421,7 @@ func TestV1BatchWrites(t *testing.T) {
 	_, _, c := newTestServer(t)
 	ctx := context.Background()
 
-	subs, err := c.SubmitBatch(ctx, apiv1.BatchSubmitRequest{Stories: []SubmitRequest{
+	subs, err := c.SubmitBatch(ctx, apiv1.BatchSubmitRequest{Stories: []apiv1.SubmitRequest{
 		{Submitter: 0, Title: "b0", Interest: 0.5, At: 10},
 		{Submitter: 999, Title: "bad", At: 10}, // unknown user: per-item error
 		{Submitter: 1, Title: "b1", Interest: 0.5, At: 11},
@@ -513,7 +513,7 @@ func TestV1ClientConditionalGet(t *testing.T) {
 	c.Backoff = time.Millisecond
 	ctx := context.Background()
 
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "a", At: 10}); err != nil {
+	if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 0, Title: "a", At: 10}); err != nil {
 		t.Fatal(err)
 	}
 	first, err := c.Upcoming(ctx, 10)
@@ -531,7 +531,7 @@ func TestV1ClientConditionalGet(t *testing.T) {
 		t.Fatalf("cached page diverged: %+v vs %+v", first, second)
 	}
 	// A write moves the generation; the next GET misses and re-caches.
-	if _, err := c.Submit(ctx, SubmitRequest{Submitter: 1, Title: "b", At: 11}); err != nil {
+	if _, err := c.Submit(ctx, apiv1.SubmitRequest{Submitter: 1, Title: "b", At: 11}); err != nil {
 		t.Fatal(err)
 	}
 	third, err := c.Upcoming(ctx, 10)

@@ -63,7 +63,6 @@ type paddedUint64 struct {
 // Obtain instances from a Registry; the zero value records but is
 // never exported.
 type Histogram struct {
-	family string
 	labels string
 	sum    paddedUint64
 	counts [numBuckets]atomic.Uint64
@@ -78,9 +77,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketIndex(v)].Add(1)
 	h.sum.Add(v)
 }
-
-// Name returns the metric family name.
-func (h *Histogram) Name() string { return h.family }
 
 // Labels returns the series' label-pair text ("" when unlabeled).
 func (h *Histogram) Labels() string { return h.labels }

@@ -12,12 +12,18 @@
 // a mutex and allocates freely; it runs on /metrics scrapes and
 // /debug/obs dumps, never per request.
 //
-// Instruments are process-global by convention: packages obtain them
-// from Default at init or construction time with get-or-create
-// semantics (the same (family, labels) pair always returns the same
-// instrument), so two servers in one process — or a test constructing
-// many — share cumulative series exactly like Prometheus client
-// libraries behave.
+// Two kinds of registry share one exposition and one timeline path.
+// Process-wide instruments — latency histograms and counters the
+// serve/write/durability layers record into — live in Default and are
+// obtained with get-or-create semantics (the same (family, labels)
+// pair always returns the same instrument), so they accumulate across
+// every server in the process like Prometheus client libraries do.
+// State a single server owns — its request counters, store, shard,
+// replication and live-simulation gauges — lives in that server's own
+// Registry as collectors: functions read at scrape and capture time.
+// Both render through WritePrometheus and feed a Timeline, so every
+// exported family is on /metrics, on the timeline and in burn
+// evaluation, and a scrape never reports another server's store.
 //
 // See docs/observability.md for the metric catalog, trace semantics
 // and the operator runbook.
@@ -32,16 +38,24 @@ import (
 	"time"
 )
 
-// Registry holds named instruments and renders them for export.
-// The zero value is not usable; construct with NewRegistry.
+// Registry holds named metric families and renders them for export.
+// The zero value is ready to use.
 type Registry struct {
 	mu sync.Mutex
-	// families preserves registration order for stable exposition.
-	families []string
-	hists    map[string][]*Histogram // family -> labeled series
-	counters map[string]*Counter     // family -> counter (unlabeled)
-	gauges   map[string]*Gauge       // family -> gauge (unlabeled)
-	help     map[string]string
+	// families is the family table in registration order, which is
+	// also exposition order.
+	families []family
+}
+
+// family is one exported metric family: a histogram family holds its
+// labeled series, a counter or gauge family a collector that emits its
+// samples when the registry is read.
+type family struct {
+	name, help string
+	kind       string // "counter", "gauge" or "histogram"
+	hists      []*Histogram
+	collect    func(emit func(labels string, v uint64))
+	counter    *Counter // the instrument behind a Counter family
 }
 
 // Default is the process-wide registry every package-level instrument
@@ -49,13 +63,27 @@ type Registry struct {
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		hists:    make(map[string][]*Histogram),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		help:     make(map[string]string),
+func NewRegistry() *Registry { return &Registry{} }
+
+// lookup returns family name, appending it with help and kind on first
+// use. The pointer is valid until the next append. Caller holds mu.
+func (r *Registry) lookup(name, kind, help string) *family {
+	for i := range r.families {
+		if r.families[i].name == name {
+			return &r.families[i]
+		}
 	}
+	r.families = append(r.families, family{name: name, help: help, kind: kind})
+	return &r.families[len(r.families)-1]
+}
+
+// table copies the family table, so readers run collectors and load
+// histograms without holding mu: a collector may take its owner's
+// locks or call back into this registry.
+func (r *Registry) table() []family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]family(nil), r.families...)
 }
 
 // Histogram returns the histogram series (family, labels), creating it
@@ -67,16 +95,14 @@ func NewRegistry() *Registry {
 func (r *Registry) Histogram(family, labels, help string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, h := range r.hists[family] {
+	f := r.lookup(family, "histogram", help)
+	for _, h := range f.hists {
 		if h.labels == labels {
 			return h
 		}
 	}
-	if _, seen := r.hists[family]; !seen {
-		r.registerFamily(family, help)
-	}
-	h := &Histogram{family: family, labels: labels}
-	r.hists[family] = append(r.hists[family], h)
+	h := &Histogram{labels: labels}
+	f.hists = append(f.hists, h)
 	return h
 }
 
@@ -85,66 +111,49 @@ func (r *Registry) Histogram(family, labels, help string) *Histogram {
 func (r *Registry) Counter(family, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[family]; ok {
-		return c
+	f := r.lookup(family, "counter", help)
+	if f.counter == nil {
+		c := &Counter{}
+		f.counter = c
+		f.collect = func(emit func(string, uint64)) { emit("", c.Value()) }
 	}
-	r.registerFamily(family, help)
-	c := &Counter{family: family}
-	r.counters[family] = c
-	return c
+	return f.counter
 }
 
-// Gauge returns the last-value gauge named family, creating it on
-// first use. Gauges export with gauge TYPE and pass through the
-// timeline raw (no delta), because their value may legitimately move
-// in either direction or reset.
-func (r *Registry) Gauge(family, help string) *Gauge {
+// Collect makes fn the source of family's samples: every exposition
+// and timeline capture calls fn, which emits one sample per label set
+// ("" for an unlabeled family). kind is "counter" or "gauge"; gauges
+// pass through the timeline raw (no delta), because their value may
+// legitimately move in either direction or reset. A later call for
+// the same family replaces fn. fn runs without the registry lock held
+// and may block on its owner's locks; it must not retain emit.
+func (r *Registry) Collect(family, kind, help string, fn func(emit func(labels string, v uint64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[family]; ok {
-		return g
-	}
-	r.registerFamily(family, help)
-	g := &Gauge{family: family}
-	r.gauges[family] = g
-	return g
+	r.lookup(family, kind, help).collect = fn
 }
 
-// registerFamily records a new family's order and help. Caller holds mu.
-func (r *Registry) registerFamily(family, help string) {
-	r.families = append(r.families, family)
-	r.help[family] = help
-}
-
-// WritePrometheus renders every instrument in the text exposition
-// format (version 0.0.4): histograms as cumulative _bucket/_sum/_count
-// series with `le` bounds in seconds, counters as plain counter
-// samples. Only non-empty buckets are emitted (plus +Inf), which keeps
-// the exposition proportional to the latency range actually observed
-// while remaining a valid cumulative histogram.
+// WritePrometheus renders every family in the text exposition format
+// (version 0.0.4): histograms as cumulative _bucket/_sum/_count series
+// with `le` bounds in seconds, counters and gauges as one sample per
+// label set their collector emits. Only non-empty buckets are emitted
+// (plus +Inf), which keeps the exposition proportional to the latency
+// range actually observed while remaining a valid cumulative
+// histogram.
 func (r *Registry) WritePrometheus(b *bytes.Buffer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var snap HistSnapshot
-	for _, family := range r.families {
-		if c, ok := r.counters[family]; ok {
-			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-				family, r.help[family], family, family, c.Value())
-			continue
-		}
-		if g, ok := r.gauges[family]; ok {
-			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-				family, r.help[family], family, family, g.Value())
-			continue
-		}
-		series := r.hists[family]
-		if len(series) == 0 {
-			continue
-		}
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", family, r.help[family], family)
-		for _, h := range series {
+	for _, f := range r.table() {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		for _, h := range f.hists {
 			h.Load(&snap)
-			writePromHistogram(b, family, h.labels, &snap)
+			writePromHistogram(b, f.name, h.labels, &snap)
+		}
+		if f.collect != nil {
+			f.collect(func(labels string, v uint64) {
+				writeSeries(b, f.name, "", labels)
+				b.WriteString(strconv.FormatUint(v, 10))
+				b.WriteByte('\n')
+			})
 		}
 	}
 }
@@ -171,16 +180,6 @@ func writePromHistogram(b *bytes.Buffer, family, labels string, s *HistSnapshot)
 		b.WriteString(strconv.FormatUint(cum, 10))
 		b.WriteByte('\n')
 	}
-	suffix := func(sfx string) {
-		b.WriteString(family)
-		b.WriteString(sfx)
-		if labels != "" {
-			b.WriteByte('{')
-			b.WriteString(labels)
-			b.WriteByte('}')
-		}
-		b.WriteByte(' ')
-	}
 	b.WriteString(family)
 	b.WriteString(`_bucket{`)
 	if labels != "" {
@@ -190,12 +189,25 @@ func writePromHistogram(b *bytes.Buffer, family, labels string, s *HistSnapshot)
 	b.WriteString(`le="+Inf"} `)
 	b.WriteString(strconv.FormatUint(cum, 10))
 	b.WriteByte('\n')
-	suffix("_sum")
+	writeSeries(b, family, "_sum", labels)
 	b.WriteString(strconv.FormatFloat(float64(s.Sum)/1e9, 'g', -1, 64))
 	b.WriteByte('\n')
-	suffix("_count")
+	writeSeries(b, family, "_count", labels)
 	b.WriteString(strconv.FormatUint(cum, 10))
 	b.WriteByte('\n')
+}
+
+// writeSeries writes a sample's series name and the space before its
+// value: `family+sfx{labels} `, without braces when unlabeled.
+func writeSeries(b *bytes.Buffer, family, sfx, labels string) {
+	b.WriteString(family)
+	b.WriteString(sfx)
+	if labels != "" {
+		b.WriteByte('{')
+		b.WriteString(labels)
+		b.WriteByte('}')
+	}
+	b.WriteByte(' ')
 }
 
 // InstrumentStat is a cold-side summary of one histogram series —
@@ -216,17 +228,15 @@ type InstrumentStat struct {
 // Instruments summarizes every histogram series, in registration order
 // (series within a family sorted by labels for stability).
 func (r *Registry) Instruments() []InstrumentStat {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []InstrumentStat
 	var snap HistSnapshot
-	for _, family := range r.families {
-		series := append([]*Histogram(nil), r.hists[family]...)
+	for _, f := range r.table() {
+		series := append([]*Histogram(nil), f.hists...)
 		sort.Slice(series, func(i, j int) bool { return series[i].labels < series[j].labels })
 		for _, h := range series {
 			h.Load(&snap)
 			out = append(out, InstrumentStat{
-				Name:   family,
+				Name:   f.name,
 				Labels: h.labels,
 				Count:  snap.Count(),
 				Sum:    time.Duration(snap.Sum),
@@ -245,8 +255,7 @@ func (r *Registry) Instruments() []InstrumentStat {
 // add; the zero value is unusable — obtain from a Registry so the
 // series is exported.
 type Counter struct {
-	family string
-	v      paddedUint64
+	v paddedUint64
 }
 
 // Add increments the counter by n.
@@ -254,16 +263,3 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a last-value instrument: Set is one atomic store, cheap
-// enough for per-write call sites. Obtain from a Registry.
-type Gauge struct {
-	family string
-	v      paddedUint64
-}
-
-// Set records the current value.
-func (g *Gauge) Set(v uint64) { g.v.Store(v) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() uint64 { return g.v.Load() }

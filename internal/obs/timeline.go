@@ -1,13 +1,14 @@
 package obs
 
 // timeline.go turns the registry's cumulative instruments into
-// trends. A Timeline is a fixed-size ring of periodic registry
-// snapshots (capture cadence is the caller's — cmd/diggd runs 1s with
-// ~15min depth); everything derived from it — per-interval deltas,
-// rates, interval quantiles, burn-rate windows — is computed on read
-// from pairs of adjacent snapshots, so capture stays cheap and the
-// hot instrument path is untouched (Capture only reads atomics under
-// the registry mutex, exactly like a /metrics scrape).
+// trends. A Timeline is a fixed-size ring of periodic snapshots of one
+// or more registries (capture cadence is the caller's — cmd/diggd runs
+// 1s with ~15min depth); everything derived from it — per-interval
+// deltas, rates, interval quantiles, burn-rate windows — is computed
+// on read from pairs of adjacent snapshots, so capture stays cheap and
+// the hot instrument path is untouched. Capture reads exactly what a
+// /metrics scrape reads: histogram atomics and every family's
+// collector, run outside the registry mutex.
 //
 // Snapshots store histograms sparsely (only non-zero cumulative
 // buckets), so depth 900 costs a few MB even with every route series
@@ -24,13 +25,13 @@ import (
 	"time"
 )
 
-// Timeline retains periodic snapshots of one registry and derives
+// Timeline retains periodic snapshots of its registries and derives
 // deltas, rates and burn windows from them.
 type Timeline struct {
-	reg      *Registry
 	interval time.Duration // nominal capture cadence (metadata for consumers)
 
 	mu    sync.Mutex
+	regs  []*Registry // captured registries; Include appends
 	depth int
 	snaps []timelineSnap // ring; grows to depth then wraps
 	next  int
@@ -65,7 +66,15 @@ func NewTimeline(reg *Registry, depth int, interval time.Duration) *Timeline {
 	if depth < 2 {
 		depth = 2
 	}
-	return &Timeline{reg: reg, interval: interval, depth: depth}
+	return &Timeline{regs: []*Registry{reg}, interval: interval, depth: depth}
+}
+
+// Include adds reg to the registries every later Capture snapshots.
+// It is safe while Run captures.
+func (tl *Timeline) Include(reg *Registry) {
+	tl.mu.Lock()
+	tl.regs = append(tl.regs, reg)
+	tl.mu.Unlock()
 }
 
 // Interval returns the nominal capture cadence.
@@ -78,10 +87,21 @@ func (tl *Timeline) Len() int {
 	return len(tl.snaps)
 }
 
-// Capture appends one snapshot of the registry taken at now, evicting
-// the oldest when the ring is full.
+// Capture appends one snapshot of the registries taken at now,
+// evicting the oldest when the ring is full.
 func (tl *Timeline) Capture(now time.Time) {
-	snap := captureSnap(tl.reg, now)
+	tl.mu.Lock()
+	regs := tl.regs
+	tl.mu.Unlock()
+	snap := timelineSnap{
+		at:       now,
+		counters: make(map[string]uint64),
+		gauges:   make(map[string]uint64),
+		hists:    make(map[string]histPoint),
+	}
+	for _, r := range regs {
+		snap.capture(r)
+	}
 	tl.mu.Lock()
 	if len(tl.snaps) < tl.depth {
 		tl.snaps = append(tl.snaps, snap)
@@ -108,33 +128,24 @@ func (tl *Timeline) Run(ctx context.Context) {
 	}
 }
 
-// captureSnap reads every instrument in reg under its mutex — the
-// same cold-side discipline as a /metrics scrape.
-func captureSnap(r *Registry, now time.Time) timelineSnap {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := timelineSnap{
-		at:       now,
-		counters: make(map[string]uint64, len(r.counters)),
-		gauges:   make(map[string]uint64, len(r.gauges)),
-		hists:    make(map[string]histPoint),
-	}
+// capture adds every series of r to the snapshot, reading r exactly
+// as WritePrometheus does.
+func (s *timelineSnap) capture(r *Registry) {
 	var hs HistSnapshot
-	for _, family := range r.families {
-		if c, ok := r.counters[family]; ok {
-			s.counters[family] = c.Value()
-			continue
-		}
-		if g, ok := r.gauges[family]; ok {
-			s.gauges[family] = g.Value()
-			continue
-		}
-		for _, h := range r.hists[family] {
+	for _, f := range r.table() {
+		for _, h := range f.hists {
 			h.Load(&hs)
-			s.hists[seriesKey(family, h.labels)] = compressHist(&hs)
+			s.hists[seriesKey(f.name, h.labels)] = compressHist(&hs)
 		}
+		if f.collect == nil {
+			continue
+		}
+		values := s.counters
+		if f.kind == "gauge" {
+			values = s.gauges
+		}
+		f.collect(func(labels string, v uint64) { values[seriesKey(f.name, labels)] = v })
 	}
-	return s
 }
 
 func seriesKey(family, labels string) string {

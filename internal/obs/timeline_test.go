@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -60,8 +64,8 @@ func TestTimelineCounterReset(t *testing.T) {
 	tl.Capture(tick(0))
 	// Simulate a reset by swapping in a fresh registry state: the
 	// timeline only sees values, so overwrite via a new counter.
-	tl.reg = NewRegistry()
-	c2 := tl.reg.Counter("requests_total", "test")
+	tl.regs[0] = NewRegistry()
+	c2 := tl.regs[0].Counter("requests_total", "test")
 	c2.Add(7)
 	tl.Capture(tick(1))
 
@@ -75,14 +79,15 @@ func TestTimelineCounterReset(t *testing.T) {
 
 func TestTimelineGaugePassthrough(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("view_generation", "test")
+	var g uint64
+	reg.Collect("view_generation", "gauge", "test", func(emit func(string, uint64)) { emit("", g) })
 	tl := NewTimeline(reg, 16, time.Second)
 
-	g.Set(42)
+	g = 42
 	tl.Capture(tick(0))
-	g.Set(17) // gauges may go down; no delta, no reset semantics
+	g = 17 // gauges may go down; no delta, no reset semantics
 	tl.Capture(tick(1))
-	g.Set(99)
+	g = 99
 	tl.Capture(tick(2))
 
 	s := findSeries(t, tl.Dump(time.Minute, time.Second), "view_generation", "")
@@ -94,6 +99,72 @@ func TestTimelineGaugePassthrough(t *testing.T) {
 	}
 	if s.Points[0].Delta != 0 || s.Points[0].Rate != 0 {
 		t.Fatalf("gauge points must not carry delta/rate: %+v", s.Points[0])
+	}
+}
+
+// TestCollectorReentersRegistry pins the rule that collectors run
+// only after the registry mutex is released: a collector that calls
+// back into its own registry must complete inside WritePrometheus and
+// Capture instead of deadlocking on mu. It also checks that an
+// included registry's labeled collector samples reach the timeline
+// with their kind.
+func TestCollectorReentersRegistry(t *testing.T) {
+	reg := NewRegistry()
+	reg.Collect("shard_writes_total", "counter", "test", func(emit func(string, uint64)) {
+		c := reg.Counter("collects_total", "test")
+		c.Add(1)
+		emit(`shard="0"`, c.Value())
+	})
+	tl := NewTimeline(NewRegistry(), 16, time.Second)
+	tl.Include(reg)
+
+	var b bytes.Buffer
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		reg.WritePrometheus(&b)
+		tl.Capture(tick(0))
+		tl.Capture(tick(1))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a collector calling into its registry deadlocked")
+	}
+
+	if want := "# TYPE shard_writes_total counter\nshard_writes_total{shard=\"0\"} 1\n"; !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition lacks %q:\n%s", want, b.String())
+	}
+	s := findSeries(t, tl.Dump(time.Minute, time.Second), "shard_writes_total", `shard="0"`)
+	if s.Kind != "counter" || s.Points[0].Delta != 1 {
+		t.Fatalf("collected series = %+v, want counter with delta 1", s)
+	}
+	findSeries(t, tl.Dump(time.Minute, time.Second), "collects_total", "")
+}
+
+// TestTimelineIncludeWhileCapturing runs Include concurrently with
+// Capture, as cmd/diggd attaches a server's registry to a timeline
+// whose capture loop is already running.
+func TestTimelineIncludeWhileCapturing(t *testing.T) {
+	tl := NewTimeline(NewRegistry(), 16, time.Second)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			tl.Capture(tick(i))
+		}
+	}()
+	for i := 0; i < 10; i++ {
+		reg := NewRegistry()
+		reg.Counter(fmt.Sprintf("n%d_total", i), "test")
+		tl.Include(reg)
+	}
+	wg.Wait()
+	tl.Capture(tick(100))
+	tl.Capture(tick(101))
+	for i := 0; i < 10; i++ {
+		findSeries(t, tl.Dump(time.Minute, time.Second), fmt.Sprintf("n%d_total", i), "")
 	}
 }
 
@@ -160,8 +231,8 @@ func TestTimelineHistogramReset(t *testing.T) {
 		h.Observe(time.Millisecond)
 	}
 	tl.Capture(tick(0))
-	tl.reg = NewRegistry()
-	h2 := tl.reg.Histogram("lat_seconds", "", "test")
+	tl.regs[0] = NewRegistry()
+	h2 := tl.regs[0].Histogram("lat_seconds", "", "test")
 	for i := 0; i < 3; i++ {
 		h2.Observe(time.Millisecond)
 	}

@@ -128,7 +128,7 @@ func Plot(cfg Config, series ...Series) string {
 		xlo, xhi = math.Pow(10, xlo), math.Pow(10, xhi)
 	}
 	fmt.Fprintf(&sb, "%s  %-12.4g%s%12.4g\n", strings.Repeat(" ", 10), xlo,
-		strings.Repeat(" ", maxInt(1, cfg.Width-26)), xhi)
+		strings.Repeat(" ", max(1, cfg.Width-26)), xhi)
 	if cfg.XLabel != "" || cfg.YLabel != "" {
 		fmt.Fprintf(&sb, "%s  x: %s   y: %s\n", strings.Repeat(" ", 10), cfg.XLabel, cfg.YLabel)
 	}
@@ -211,10 +211,3 @@ func Histogram(title string, width int, los, his []float64, counts []int) string
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
