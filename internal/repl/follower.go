@@ -270,9 +270,11 @@ func (f *Follower) Promote() error {
 }
 
 // Staleness is how far behind the primary this follower may be: the
-// age of the oldest shard's last heartbeat. A healthy, connected
-// follower's staleness hovers around the source's heartbeat interval.
-// Returns a large value if a shard has never heard from the primary.
+// age of the oldest shard's last heartbeat. The source ends every burst
+// of records with a heartbeat, so under writes staleness is the age of
+// the last burst; on an idle, connected stream it rises to the source's
+// heartbeat interval between scheduled beats. Returns a large value if
+// a shard has never heard from the primary.
 func (f *Follower) Staleness() time.Duration {
 	now := time.Now().UnixNano()
 	var worst int64
@@ -397,6 +399,11 @@ func (f *Follower) consume(ctx context.Context, shard int, rc io.Reader) (int, e
 	next := f.target.AppliedLSN(shard)
 	batchStart := next
 	var batch []wal.Entry
+	// arena holds the batched records' payloads (the frame reader reuses
+	// its buffer) and is reset by every flush: nothing keeps a payload
+	// once ApplyReplicated returns — the WAL copies the bytes and the
+	// record decoders copy what they keep.
+	var arena []byte
 	total := 0
 
 	flush := func() error {
@@ -419,6 +426,7 @@ func (f *Follower) consume(ctx context.Context, shard int, rc io.Reader) (int, e
 			f.afterApply()
 		}
 		batch = batch[:0]
+		arena = arena[:0]
 		batchStart = next
 		return nil
 	}
@@ -447,10 +455,9 @@ func (f *Follower) consume(ctx context.Context, shard int, rc io.Reader) (int, e
 				}
 				return total, fmt.Errorf("repl: stream gap: want lsn %d, got %d", next, frame.LSN)
 			}
-			batch = append(batch, wal.Entry{
-				Type:    frame.RecType,
-				Payload: append([]byte(nil), frame.Payload...),
-			})
+			start := len(arena)
+			arena = append(arena, frame.Payload...)
+			batch = append(batch, wal.Entry{Type: frame.RecType, Payload: arena[start:len(arena):len(arena)]})
 			next++
 			if len(batch) >= f.opts.BatchMax {
 				if err := flush(); err != nil {

@@ -20,17 +20,17 @@ package repl
 //
 // A record frame carries one WAL record verbatim — same LSN, same type
 // byte, same payload bytes — so a follower can append it to its own log
-// unchanged. Heartbeats flow even while a stream is catching up; they
-// carry the primary's head LSN and ship wall-clock time, which is all a
-// follower needs to measure its lag, plus the primary's newest commit
-// stamp — the commit's LSN, its wall-clock instant and the trace ID of
-// the write that produced it — so a follower can measure
-// commit→visible freshness end to end and join its apply to the
-// originating request's trace. The stamp is all zero until the source
-// commits its first local write; a heartbeat body of any length but 40
-// bytes is corrupt. An error frame is the primary's last word on a
-// stream (log truncated under the reader, corruption); the connection
-// closes after it.
+// unchanged. Heartbeats flow on a schedule, even while a stream is
+// catching up, and end every burst of records. They carry the primary's
+// head LSN and ship wall-clock time, which is all a follower needs to
+// measure its lag, plus the primary's newest commit stamp — the
+// commit's LSN, its wall-clock instant and the trace ID of the write
+// that produced it — so a follower can measure commit→visible
+// freshness end to end and join its apply to the originating request's
+// trace. The stamp is all zero until the source commits its first local
+// write; a heartbeat body of any length but 40 bytes is corrupt. An
+// error frame is the primary's last word on a stream (log truncated
+// under the reader, corruption); the connection closes after it.
 //
 // The decoder never trusts the wire: oversized lengths, bad CRCs and
 // unknown kinds are ErrFrameCorrupt, and a frame cut off mid-body is
@@ -101,47 +101,56 @@ type Frame struct {
 	Msg  string
 }
 
-// appendFrame appends a framed body to dst.
-func appendFrame(dst []byte, kind byte, body []byte) []byte {
-	start := len(dst)
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc placeholder
-	dst = append(dst, body...)
-	crc := crc32.Checksum(dst[start:start+5], castagnoli)
-	crc = crc32.Update(crc, castagnoli, body)
-	binary.LittleEndian.PutUint32(dst[start+5:start+9], crc)
+// beginFrame appends a frame header with the length and checksum left
+// blank; the caller appends the body straight into dst and seals the
+// frame with endFrame(dst, start), start being len(dst) before the call.
+func beginFrame(dst []byte, kind byte) []byte {
+	return append(dst, kind, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// endFrame fills in the length and checksum of the frame that begins at
+// dst[start], computing the CRC over the bytes in place.
+func endFrame(dst []byte, start int) []byte {
+	frame := dst[start:]
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-frameHeaderSize))
+	crc := crc32.Checksum(frame[:5], castagnoli)
+	crc = crc32.Update(crc, castagnoli, frame[frameHeaderSize:])
+	binary.LittleEndian.PutUint32(frame[5:9], crc)
 	return dst
 }
 
-// AppendRecordFrame appends a record frame carrying one WAL record.
+// AppendRecordFrame appends a record frame carrying one WAL record. It
+// allocates only when dst must grow.
 func AppendRecordFrame(dst []byte, lsn uint64, recType byte, payload []byte) []byte {
-	body := make([]byte, 0, 9+len(payload))
-	body = binary.LittleEndian.AppendUint64(body, lsn)
-	body = append(body, recType)
-	body = append(body, payload...)
-	return appendFrame(dst, FrameRecord, body)
+	start := len(dst)
+	dst = beginFrame(dst, FrameRecord)
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = append(dst, recType)
+	dst = append(dst, payload...)
+	return endFrame(dst, start)
 }
 
 // AppendHeartbeatFrame appends a heartbeat frame carrying the source's
 // head, ship time and newest commit stamp (zero before the first local
 // commit).
 func AppendHeartbeatFrame(dst []byte, head uint64, shipUnixNano int64, commitLSN uint64, commitUnixNano int64, traceID uint64) []byte {
-	var body [40]byte
-	binary.LittleEndian.PutUint64(body[0:8], head)
-	binary.LittleEndian.PutUint64(body[8:16], uint64(shipUnixNano))
-	binary.LittleEndian.PutUint64(body[16:24], commitLSN)
-	binary.LittleEndian.PutUint64(body[24:32], uint64(commitUnixNano))
-	binary.LittleEndian.PutUint64(body[32:40], traceID)
-	return appendFrame(dst, FrameHeartbeat, body[:])
+	start := len(dst)
+	dst = beginFrame(dst, FrameHeartbeat)
+	dst = binary.LittleEndian.AppendUint64(dst, head)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(shipUnixNano))
+	dst = binary.LittleEndian.AppendUint64(dst, commitLSN)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(commitUnixNano))
+	dst = binary.LittleEndian.AppendUint64(dst, traceID)
+	return endFrame(dst, start)
 }
 
 // AppendErrorFrame appends a stream-terminating error frame.
 func AppendErrorFrame(dst []byte, code byte, msg string) []byte {
-	body := make([]byte, 0, 1+len(msg))
-	body = append(body, code)
-	body = append(body, msg...)
-	return appendFrame(dst, FrameError, body)
+	start := len(dst)
+	dst = beginFrame(dst, FrameError)
+	dst = append(dst, code)
+	dst = append(dst, msg...)
+	return endFrame(dst, start)
 }
 
 // FrameReader decodes a stream of frames. It is not safe for

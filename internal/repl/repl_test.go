@@ -154,12 +154,13 @@ func compareStoresBase(t testing.TB, want, got digg.Store) {
 // testPrimary is a primary store serving replication over a real HTTP
 // listener.
 type testPrimary struct {
-	t       testing.TB
-	dir     string
-	durable *durable.Store
-	sharded *shard.Store
-	src     *Source
-	ts      *httptest.Server
+	t         testing.TB
+	dir       string
+	heartbeat time.Duration // the source's scheduled heartbeat cadence
+	durable   *durable.Store
+	sharded   *shard.Store
+	src       *Source
+	ts        *httptest.Server
 }
 
 func (p *testPrimary) store() digg.Store {
@@ -182,12 +183,12 @@ func (p *testPrimary) heads() []uint64 {
 
 func (p *testPrimary) sourceShards() []SourceShard {
 	if p.sharded == nil {
-		return []SourceShard{{Dir: p.durable.Dir(), Head: p.durable.AppliedLSN}}
+		return []SourceShard{{Dir: p.durable.Dir(), Head: p.durable.AppliedLSN, LastCommit: p.durable.LastCommit}}
 	}
 	out := make([]SourceShard, p.sharded.ShardCount())
 	for i := range out {
 		ds := p.sharded.DurableShard(i)
-		out[i] = SourceShard{Dir: ds.Dir(), Head: ds.AppliedLSN}
+		out[i] = SourceShard{Dir: ds.Dir(), Head: ds.AppliedLSN, LastCommit: ds.LastCommit}
 	}
 	return out
 }
@@ -197,7 +198,7 @@ func (p *testPrimary) sourceShards() []SourceShard {
 func (p *testPrimary) serve() {
 	p.src = &Source{
 		Shards:    p.sourceShards(),
-		Heartbeat: 5 * time.Millisecond,
+		Heartbeat: p.heartbeat,
 		Poll:      time.Millisecond,
 	}
 	mux := http.NewServeMux()
@@ -219,7 +220,14 @@ func (p *testPrimary) stopServe() {
 
 func startPrimary(t testing.TB, shards int) *testPrimary {
 	t.Helper()
-	p := &testPrimary{t: t, dir: t.TempDir()}
+	return startPrimaryBeating(t, shards, 5*time.Millisecond)
+}
+
+// startPrimaryBeating starts a primary whose source sends scheduled
+// heartbeats every hb.
+func startPrimaryBeating(t testing.TB, shards int, hb time.Duration) *testPrimary {
+	t.Helper()
+	p := &testPrimary{t: t, dir: t.TempDir(), heartbeat: hb}
 	plat := newTestPlatform(t)
 	var err error
 	if shards <= 1 {
@@ -268,7 +276,13 @@ func startFollower(t testing.TB, tr Transport, dir string) (*Node, *Follower) {
 // waitCaughtUp blocks until the follower's applied LSNs reach heads.
 func waitCaughtUp(t testing.TB, f *Follower, heads []uint64) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
+	waitCaughtUpWithin(t, f, heads, 20*time.Second)
+}
+
+// waitCaughtUpWithin is waitCaughtUp with a deadline of d.
+func waitCaughtUpWithin(t testing.TB, f *Follower, heads []uint64, d time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for {
 		ok := true
 		for i, h := range heads {

@@ -18,9 +18,10 @@ package repl
 //     this source never wrote — it diverged and must wipe.
 //   - otherwise → 200 and an unbounded chunked body of frames: every
 //     record from N on, with heartbeats interleaved (even mid-catch-up)
-//     so the follower can always measure lag. If the log is truncated
-//     or found corrupt mid-stream the source says so with a terminal
-//     error frame rather than silently closing.
+//     so the follower can always measure lag, and one heartbeat ending
+//     every burst so the follower applies the burst as it lands. If the
+//     log is truncated or found corrupt mid-stream the source says so
+//     with a terminal error frame rather than silently closing.
 
 import (
 	"encoding/json"
@@ -78,10 +79,15 @@ type Source struct {
 	// Promote, when non-nil, promotes this node to primary on
 	// POST /repl/v1/promote.
 	Promote func() error
-	// Heartbeat is the cadence of heartbeat frames (default 250ms).
+	// Heartbeat is the cadence of scheduled heartbeat frames (default
+	// 250ms), which bound a follower's staleness while the log is idle.
+	// Independently of it, a stream sends one heartbeat at the end of
+	// every burst of records, so a follower applies each burst as soon
+	// as it lands.
 	Heartbeat time.Duration
-	// Poll is how often a caught-up stream re-checks the log for new
-	// records (default 5ms).
+	// Poll is how often a caught-up stream checks the shard's head
+	// (default 5ms). A check is one call to Head; the log is read again
+	// only once the head has moved past the stream.
 	Poll time.Duration
 
 	initOnce  sync.Once
@@ -256,6 +262,16 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	hb, poll := s.heartbeat(), s.poll()
 	buf := make([]byte, 0, 64<<10)
 	lastBeat := time.Now()
+	// shipped is set while record frames have gone out that no heartbeat
+	// has followed yet.
+	shipped := false
+	beat := func() {
+		lastBeat = time.Now()
+		buf = appendBeat(buf, sh, lastBeat)
+		shipped = false
+	}
+	wait := time.NewTimer(poll)
+	defer wait.Stop()
 	for ctx.Err() == nil {
 		select {
 		case <-closed:
@@ -264,13 +280,18 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		rec, err := tr.Next()
+		// The log is read only while the head is past the reader, so a
+		// caught-up stream's poll is one load of the head.
+		rec, err := wal.Record{}, wal.ErrCaughtUp
+		if sh.Head() > tr.LSN() {
+			rec, err = tr.Next()
+		}
 		switch {
 		case err == nil:
 			buf = AppendRecordFrame(buf, rec.LSN, rec.Type, rec.Payload)
+			shipped = true
 			if time.Since(lastBeat) >= hb {
-				lastBeat = time.Now()
-				buf = appendBeat(buf, sh, lastBeat)
+				beat()
 			}
 			if len(buf) >= 256<<10 {
 				if !flush(buf) {
@@ -279,19 +300,22 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 				buf = buf[:0]
 			}
 		case errors.Is(err, wal.ErrCaughtUp):
-			if time.Since(lastBeat) >= hb {
-				lastBeat = time.Now()
-				buf = appendBeat(buf, sh, lastBeat)
+			// A heartbeat ends every burst: the follower applies what it
+			// holds on each heartbeat, so the burst becomes visible there
+			// now, not when its batch fills or the next beat is due.
+			if shipped || time.Since(lastBeat) >= hb {
+				beat()
 			}
 			if !flush(buf) {
 				return
 			}
 			buf = buf[:0]
+			wait.Reset(poll)
 			select {
 			case <-ctx.Done():
 				return
 			case <-closed:
-			case <-time.After(poll):
+			case <-wait.C:
 			}
 		case errors.Is(err, wal.ErrTruncated):
 			// Checkpointed and pruned under this reader: the stream

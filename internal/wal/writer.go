@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"diggsim/internal/obs"
@@ -40,10 +41,13 @@ type Writer struct {
 	f        *os.File
 	segStart uint64 // first LSN of the active segment
 	size     int64  // bytes written to the active segment
-	next     uint64 // LSN of the next record to append
 	buf      []byte // encode scratch
 	dirty    bool   // unsynced bytes pending
 	err      error  // sticky failure
+	// next is the LSN of the next record to append. It is written under
+	// mu, only once the records below it are written, and read without
+	// mu by NextLSN.
+	next atomic.Uint64
 
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -95,7 +99,7 @@ func OpenWriter(dir string, start uint64, opts Options) (*Writer, error) {
 		w.f = f
 		w.segStart = last.FirstLSN
 		w.size = validSize
-		w.next = last.FirstLSN + count
+		w.next.Store(last.FirstLSN + count)
 	}
 	if opts.Sync == SyncInterval {
 		w.flushStop = make(chan struct{})
@@ -162,7 +166,7 @@ func (w *Writer) createSegment(lsn uint64) error {
 	w.f = f
 	w.segStart = lsn
 	w.size = 0
-	w.next = lsn
+	w.next.Store(lsn)
 	return nil
 }
 
@@ -190,7 +194,7 @@ func (w *Writer) rotateLocked() error {
 		return err
 	}
 	w.f = nil
-	return w.createSegment(w.next)
+	return w.createSegment(w.next.Load())
 }
 
 // Append appends one record and applies the sync policy. It returns
@@ -220,7 +224,7 @@ func (w *Writer) AppendBatch(entries []Entry) (uint64, error) {
 		return 0, w.err
 	}
 	if len(entries) == 0 {
-		return w.next, nil
+		return w.next.Load(), nil
 	}
 	w.buf = w.buf[:0]
 	for _, e := range entries {
@@ -245,7 +249,7 @@ func (w *Writer) commitLocked(n uint64) (uint64, error) {
 			return 0, err
 		}
 	}
-	first := w.next
+	first := w.next.Load()
 	writeStart := time.Now()
 	_, err := w.f.Write(w.buf)
 	histAppend.Observe(time.Since(writeStart))
@@ -254,7 +258,7 @@ func (w *Writer) commitLocked(n uint64) (uint64, error) {
 		return 0, err
 	}
 	w.size += int64(len(w.buf))
-	w.next += n
+	w.next.Add(n)
 	w.dirty = true
 	if w.opts.Sync == SyncAlways {
 		syncStart := time.Now()
@@ -313,12 +317,11 @@ func (w *Writer) flushLoop() {
 	}
 }
 
-// NextLSN returns the LSN the next appended record will receive.
-func (w *Writer) NextLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.next
-}
+// NextLSN returns the LSN the next appended record will receive. It
+// takes no lock, so it never waits out an fsync: every record below it
+// has been written to the log (though perhaps not yet synced), so a
+// TailReader on the same directory can read it.
+func (w *Writer) NextLSN() uint64 { return w.next.Load() }
 
 // Rotate seals the active segment and opens a fresh one starting at
 // the next LSN. The checkpointer calls it before RemoveBelow so the
