@@ -56,8 +56,9 @@
 // applied LSN and prints the winner's URL.
 //
 // Observability (docs/observability.md): every request carries an
-// X-Trace-Id; requests at or above -slow-threshold are retained with
-// their spans in the slow-trace ring (GET /debug/obs) and logged.
+// X-Trace-Id; requests at or above -slow-threshold (streams excepted)
+// are retained with their spans in the slow-trace ring (GET /debug/obs)
+// and logged.
 // Latency histograms for the serve/write/durability paths export in
 // Prometheus format at GET /metrics. With -profile-dir the server
 // continuously rotates CPU and heap profiles into DIR so the window

@@ -2,8 +2,9 @@
 // against a running diggd and emits a BENCH_load.json document in the
 // cmd/benchjson envelope (generated_at, go_version, host facts, notes)
 // with the full scenario report — per-population latency quantiles,
-// swarm stream/event accounting, server-side instrument summaries, and
-// the SLO verdict.
+// swarm stream/event accounting, and the SLO verdict: the client-side
+// gates plus the server's own SLOs, read from its /debug/timeline over
+// the run window.
 //
 // Usage:
 //

@@ -16,11 +16,9 @@
 // makes the exit status non-zero when the follower has not heard from
 // its primary within that bound.
 //
-// With -obs it queries a running diggd's observability dump
-// (GET /debug/obs) and pretty-prints every latency instrument's
-// quantile summary plus the retained slow traces — the terminal
-// counterpart of the Prometheus exposition at GET /metrics; see
-// docs/observability.md.
+// With -obs it queries a running diggd's slow-trace dump
+// (GET /debug/obs) and pretty-prints the retained slow requests with
+// their span breakdowns; see docs/observability.md.
 //
 // With -watch it polls a running diggd's metrics timeline
 // (GET /debug/timeline) and repaints a live terminal view: SLO
@@ -38,21 +36,18 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"sort"
-	"strings"
 	"text/tabwriter"
 	"time"
 
-	"diggsim/internal/apiv1"
 	"diggsim/internal/cascade"
 	"diggsim/internal/core"
 	"diggsim/internal/dataset"
 	"diggsim/internal/durable"
+	"diggsim/internal/httpapi"
 	"diggsim/internal/mltree"
 	"diggsim/internal/repl"
 	"diggsim/internal/rng"
@@ -64,7 +59,7 @@ import (
 func main() {
 	data := flag.String("data", "", "dataset directory")
 	walDir := flag.String("wal", "", "inspect a diggd durable data directory (WAL + checkpoints) instead of analyzing a dataset")
-	obsURL := flag.String("obs", "", "query a running diggd's observability dump (base URL, e.g. http://localhost:8080)")
+	obsURL := flag.String("obs", "", "print a running diggd's slow traces (base URL, e.g. http://localhost:8080)")
 	watchURL := flag.String("watch", "", "live terminal view of a running diggd's metrics timeline (base URL; polls GET /debug/timeline)")
 	watchInterval := flag.Duration("interval", 2*time.Second, "with -watch: refresh period")
 	watchOnce := flag.Bool("once", false, "with -watch: render one frame and exit (no screen clearing; for logs and CI)")
@@ -274,53 +269,14 @@ func fmtAge(d time.Duration) string {
 }
 
 // inspectObs fetches a running diggd's GET /debug/obs dump and
-// renders the operator's terminal view of it: one table row per
-// instrument series (quantiles in milliseconds, same numbers the
-// Prometheus exposition carries in seconds), then the retained slow
-// traces newest-first with their span breakdowns.
+// renders the retained slow traces newest-first with their span
+// breakdowns.
 func inspectObs(base string) {
-	url := strings.TrimSuffix(base, "/") + "/debug/obs"
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
+	dump, err := httpapi.NewClient(base).ObsDump(context.Background())
 	if err != nil {
 		fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("GET %s: %s", url, resp.Status))
-	}
-	var dump apiv1.ObsDump
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		fatal(fmt.Errorf("decoding %s: %w", url, err))
-	}
-
-	// Group-stable ordering: registration order already groups series
-	// of one family together; a secondary sort by labels keeps
-	// per-shard and per-route series tidy without splitting families.
-	sort.SliceStable(dump.Instruments, func(i, j int) bool {
-		a, b := dump.Instruments[i], dump.Instruments[j]
-		if a.Name != b.Name {
-			return false // keep registration order across families
-		}
-		return a.Labels < b.Labels
-	})
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "INSTRUMENT\tCOUNT\tP50\tP90\tP99\tP99.9\tMAX\tTOTAL")
-	for _, in := range dump.Instruments {
-		name := in.Name
-		if in.Labels != "" {
-			name += "{" + in.Labels + "}"
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			name, in.Count,
-			fmtMillis(in.P50Millis), fmtMillis(in.P90Millis),
-			fmtMillis(in.P99Millis), fmtMillis(in.P999Millis),
-			fmtMillis(in.MaxMillis), fmtMillis(in.TotalMillis))
-	}
-	tw.Flush()
-
-	fmt.Printf("\nslow traces: %d total", dump.SlowTotal)
+	fmt.Printf("slow traces: %d total", dump.SlowTotal)
 	if n := len(dump.SlowTraces); n > 0 {
 		fmt.Printf(", %d retained (newest first)", n)
 	}

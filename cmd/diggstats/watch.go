@@ -11,16 +11,16 @@ package main
 // server retains ~15 minutes for ad-hoc queries.
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"diggsim/internal/apiv1"
+	"diggsim/internal/httpapi"
 )
 
 const (
@@ -33,15 +33,16 @@ const (
 // terminal. With once it renders a single frame without touching the
 // screen, for piping into files or CI logs.
 func watchTimeline(base string, interval time.Duration, once bool) {
-	url := strings.TrimSuffix(base, "/") +
-		fmt.Sprintf("/debug/timeline?window=%d&step=%d", watchWindow, watchStep)
-	client := &http.Client{Timeout: 10 * time.Second}
+	client := httpapi.NewClient(base)
 	for {
-		frame, err := fetchFrame(client, url)
-		if err != nil {
-			if once {
-				fatal(err)
-			}
+		var frame string
+		dump, err := client.Timeline(context.Background(), watchWindow*time.Second, watchStep*time.Second)
+		switch {
+		case err == nil:
+			frame = renderFrame(&dump)
+		case once:
+			fatal(err)
+		default:
 			// A watch session rides out server restarts: report and retry.
 			frame = fmt.Sprintf("diggstats -watch: %v (retrying every %s)\n", err, interval)
 		}
@@ -53,24 +54,6 @@ func watchTimeline(base string, interval time.Duration, once bool) {
 		fmt.Print("\x1b[H\x1b[J" + frame)
 		time.Sleep(interval)
 	}
-}
-
-// fetchFrame fetches one timeline dump and renders it to a string, so
-// the terminal repaint is a single write.
-func fetchFrame(client *http.Client, url string) (string, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	var dump apiv1.TimelineDump
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		return "", fmt.Errorf("decoding %s: %w", url, err)
-	}
-	return renderFrame(&dump), nil
 }
 
 func renderFrame(dump *apiv1.TimelineDump) string {

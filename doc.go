@@ -121,13 +121,13 @@
 // scatter-gather merge, snapshot rebuilds, and live step duration —
 // without breaking the read path's 0-alloc guarantee (the wrapper is
 // two monotonic clock reads inside the route table). GET /metrics
-// exports them as Prometheus histogram series; GET /debug/obs dumps
-// p50/p90/p99/p999 summaries plus a ring of recent slow traces, each
-// request tagged with an X-Trace-Id and span-timed through the batch
-// write pipeline (decode, apply, republish); diggstats -obs
-// pretty-prints the dump, and diggd -profile-dir continuously rotates
-// CPU/heap profiles so the profile covering a regression window is
-// already on disk. BENCH_obs.json records read/write latency
+// exports them as Prometheus histogram series and GET /debug/timeline
+// as windowed trends with SLO burn rates; GET /debug/obs dumps a ring
+// of recent slow traces, each request tagged with an X-Trace-Id and
+// span-timed through the batch write pipeline (decode, apply,
+// republish); diggstats -obs pretty-prints the dump, and diggd
+// -profile-dir continuously rotates CPU/heap profiles so the profile
+// covering a regression window is already on disk. BENCH_obs.json records read/write latency
 // quantiles under a mixed workload via the histogram-aware
 // cmd/benchjson. See docs/observability.md.
 //
@@ -158,10 +158,11 @@
 // populations a social-news site sees — Zipf-skewed readers matching
 // the paper's measured attention skew, cursor crawlers, batch
 // digg/submit writers, and swarms of concurrent SSE subscribers — as
-// one mixed scenario against a running diggd, then gate the run on the
-// SLOs docs/observability.md suggests, reading both the client-side
-// obs histograms and the server's own /debug/obs summaries. Verdicts
-// land in BENCH_load.json (cmd/benchjson envelope), CI runs a smoke
+// one mixed scenario against a running diggd, then gate the run on
+// client-side thresholds from the client's obs histograms and on the
+// server's own SLO table (the one /readyz burns on), read from its
+// /debug/timeline over the run window. Verdicts land in
+// BENCH_load.json (cmd/benchjson envelope), CI runs a smoke
 // scenario on every push, and diggd -trust-loopback exempts the
 // co-located harness from per-IP rate limits. Underneath the swarm,
 // live.Bus is a shared append-only broadcast ring: publish is O(1)

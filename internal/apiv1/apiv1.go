@@ -14,9 +14,12 @@
 // Compatibility contract: shapes in this package are append-only.
 // Fields may be added (with omitempty semantics where they are
 // optional); existing fields, their JSON names, and the error code
-// strings never change meaning. The golden fixtures under testdata/
-// pin the wire format, and CI refuses fixture changes that are not
-// accompanied by a version note in docs/api.md.
+// strings never change meaning. The one exception is the debug dumps
+// (ObsDump, TimelineDump), operator surfaces that may also drop a
+// field: v2.3 dropped ObsDump's lifetime instrument summaries. The
+// golden fixtures under testdata/ pin the wire format, and CI refuses
+// fixture changes that are not accompanied by a version note in
+// docs/api.md.
 package apiv1
 
 import "diggsim/internal/digg"

@@ -125,24 +125,11 @@ func contractCases() map[string]any {
 				Objective: 0.99, ThresholdMillis: 250,
 				Short:    BurnWindow{WindowSeconds: 300, CoveredSeconds: 300, Total: 12400, Bad: 31, Burn: 0.25},
 				Long:     BurnWindow{WindowSeconds: 3600, CoveredSeconds: 900, Total: 36100, Bad: 40, Burn: 0.1108},
+				Window:   BurnWindow{WindowSeconds: 300, CoveredSeconds: 300, Total: 12400, Bad: 31, Burn: 0.25},
 				Degraded: false,
 			}},
 		},
 		"obs_dump": ObsDump{
-			Instruments: []ObsInstrument{
-				{
-					Name: "diggsim_http_request_seconds", Labels: `route="frontpage"`,
-					Count: 120000, TotalMillis: 54000,
-					P50Millis: 0.00042, P90Millis: 0.00061, P99Millis: 0.0014,
-					P999Millis: 0.21, MaxMillis: 0.26,
-				},
-				{
-					Name:  "diggsim_wal_fsync_seconds",
-					Count: 480, TotalMillis: 1920,
-					P50Millis: 3.6, P90Millis: 5.1, P99Millis: 9.8,
-					P999Millis: 14, MaxMillis: 16,
-				},
-			},
 			SlowTotal: 3,
 			SlowTraces: []ObsTrace{{
 				ID: "4f2a9c01d3e87b65", Method: "POST", Path: "/v1/diggs:batch",

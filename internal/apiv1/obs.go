@@ -1,38 +1,17 @@
 package apiv1
 
-// obs.go defines the wire shapes of GET /debug/obs: a JSON dump of
-// every latency instrument's summary plus the ring of recent slow
-// traces. The dump is a debugging surface, so durations are rendered
-// in milliseconds (the natural unit of request latency) rather than
-// the exposition format's seconds.
+// obs.go defines the wire shapes of GET /debug/obs: a JSON dump of the
+// ring of recent slow traces. The dump is a debugging surface, so
+// durations are rendered in milliseconds (the natural unit of request
+// latency) rather than the exposition format's seconds.
 
 // ObsDump is the GET /debug/obs response.
 type ObsDump struct {
-	// Instruments summarizes every histogram series in registration
-	// order: observation count, total time, and interpolated quantiles.
-	Instruments []ObsInstrument `json:"instruments"`
 	// SlowTotal counts slow requests ever recorded (the ring retains
 	// only the most recent).
 	SlowTotal uint64 `json:"slow_traces_total"`
 	// SlowTraces are the retained slow requests, newest first.
 	SlowTraces []ObsTrace `json:"slow_traces"`
-}
-
-// ObsInstrument is one latency histogram's cold-side summary.
-type ObsInstrument struct {
-	Name   string `json:"name"`
-	Labels string `json:"labels,omitempty"`
-	Count  uint64 `json:"count"`
-	// TotalMillis is the sum of all observations in milliseconds.
-	TotalMillis float64 `json:"total_ms"`
-	// Quantiles are interpolated estimates in milliseconds; their
-	// relative error is bounded by the histogram's bucket width (<=25%).
-	P50Millis  float64 `json:"p50_ms"`
-	P90Millis  float64 `json:"p90_ms"`
-	P99Millis  float64 `json:"p99_ms"`
-	P999Millis float64 `json:"p999_ms"`
-	// MaxMillis is an upper estimate of the largest observation.
-	MaxMillis float64 `json:"max_ms"`
 }
 
 // ObsTrace is one retained slow request with its recorded spans.

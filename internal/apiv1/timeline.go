@@ -3,8 +3,8 @@ package apiv1
 // timeline.go defines the wire shapes of GET /debug/timeline: the
 // metrics timeline (periodic registry snapshots reduced to per-step
 // deltas, rates and interval quantiles) plus the burn-rate evaluation
-// of every configured SLO. Like /debug/obs this is a debugging
-// surface, so durations are milliseconds and window widths seconds.
+// of every configured SLO. It is a debugging surface, so durations
+// are milliseconds and window widths seconds.
 
 // TimelineDump is the GET /debug/timeline response.
 type TimelineDump struct {
@@ -18,8 +18,9 @@ type TimelineDump struct {
 	// Series is every instrument's trend over the window, sorted by
 	// family then labels.
 	Series []TimelineSeries `json:"series"`
-	// Burn is the multi-window burn-rate evaluation of each SLO,
-	// always over the evaluator's own windows (not the query's).
+	// Burn is the burn-rate evaluation of each SLO: over the
+	// evaluator's own short and long windows, and over the query's
+	// window.
 	Burn []BurnStatus `json:"burn,omitempty"`
 }
 
@@ -65,8 +66,11 @@ type BurnStatus struct {
 	ThresholdMillis float64 `json:"threshold_ms"`
 	// Short and Long are the fast- and slow-window measurements;
 	// Degraded is set when both burn at or above the alert factor.
-	Short    BurnWindow `json:"short"`
-	Long     BurnWindow `json:"long"`
+	Short BurnWindow `json:"short"`
+	Long  BurnWindow `json:"long"`
+	// Window measures the SLO over the query's window (added in v2.3),
+	// so a client can judge the span it drove traffic in.
+	Window   BurnWindow `json:"window"`
 	Degraded bool       `json:"degraded"`
 }
 

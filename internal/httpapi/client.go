@@ -431,11 +431,23 @@ func (c *Client) FrontPageAt(ctx context.Context, cursor apiv1.Cursor, limit int
 	return out, err
 }
 
-// ObsDump fetches the server's observability dump (/debug/obs): every
-// latency instrument's quantile summary plus retained slow traces.
+// ObsDump fetches the server's retained slow traces (/debug/obs).
 func (c *Client) ObsDump(ctx context.Context) (apiv1.ObsDump, error) {
 	var out apiv1.ObsDump
 	err := c.do(ctx, http.MethodGet, "/debug/obs", nil, &out)
+	return out, err
+}
+
+// Timeline fetches the server's metrics timeline (/debug/timeline)
+// over the trailing window in steps of step, each rounded up to whole
+// seconds: every series' trend plus each SLO's burn evaluation, which
+// includes the SLO measured over window. A server without a timeline
+// answers 404 (apiv1.CodeNotFound).
+func (c *Client) Timeline(ctx context.Context, window, step time.Duration) (apiv1.TimelineDump, error) {
+	secs := func(d time.Duration) int64 { return int64((d + time.Second - 1) / time.Second) }
+	var out apiv1.TimelineDump
+	err := c.do(ctx, http.MethodGet,
+		fmt.Sprintf("/debug/timeline?window=%d&step=%d", secs(window), secs(step)), nil, &out)
 	return out, err
 }
 

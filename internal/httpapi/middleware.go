@@ -27,11 +27,14 @@ func LoggingMiddleware(w io.Writer, next http.Handler) http.Handler {
 	})
 }
 
-// statusWriter captures the response status code for logging.
+// statusWriter captures the response status code for logging, and
+// whether the handler flushed: only streams (the SSE feed, WAL
+// shipping) flush mid-response.
 type statusWriter struct {
 	http.ResponseWriter
 	status  int
 	written bool
+	flushed bool
 }
 
 func (s *statusWriter) WriteHeader(code int) {
@@ -51,6 +54,7 @@ func (s *statusWriter) Write(b []byte) (int, error) {
 // (the /v1/stream SSE feed) keep working behind the logging and
 // metrics middleware.
 func (s *statusWriter) Flush() {
+	s.flushed = true
 	if f, ok := s.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}

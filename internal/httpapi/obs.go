@@ -4,7 +4,7 @@ package httpapi
 // route-class latency histograms wrapped around every handler at mount
 // time, snapshot-rebuild instruments, the Tracer middleware that mints
 // X-Trace-Id headers and retains slow traces, and the GET /debug/obs
-// dump.
+// dump of those traces.
 //
 // The per-route histograms live inside Server.Handler's route table —
 // not in a middleware — so the instrumented path is exactly the one
@@ -50,13 +50,19 @@ var (
 		"Event published on the bus to its SSE frame flushed to the subscriber connection.")
 )
 
+// requestFamily is the request-latency histogram family: one series
+// per route class.
+const requestFamily = "diggsim_http_request_seconds"
+
 // routeHist returns the request-latency histogram of one route class.
 // Classes name endpoints, not paths (the fans and friends lists share
 // "links"): the class cardinality is what an operator dashboards by.
 func routeHist(class string) *obs.Histogram {
-	return obs.Default.Histogram("diggsim_http_request_seconds",
-		`route="`+class+`"`, "HTTP request latency by route class.")
+	return obs.Default.Histogram(requestFamily, routeLabels(class), "HTTP request latency by route class.")
 }
+
+// routeLabels is the label text of one route class's series.
+func routeLabels(class string) string { return `route="` + class + `"` }
 
 // timed wraps a handler with its route class's latency histogram. The
 // histogram is resolved once at mount time; per request the wrapper
@@ -77,8 +83,11 @@ func timed(class string, fn http.HandlerFunc) http.HandlerFunc {
 // obs.Trace to the request context so handlers can record spans
 // (obs.SpanFrom), and — for requests at or above SlowThreshold —
 // retains the finished trace in the slow-trace ring and logs one
-// structured line. Place it outside the router and inside any
-// rate-limiting middleware whose rejections should not be traced.
+// structured line. A response that flushed mid-way is a stream (the
+// SSE feed, WAL shipping) whose duration is its connection lifetime,
+// so it is never captured as slow. Place it outside the router and
+// inside any rate-limiting middleware whose rejections should not be
+// traced.
 type Tracer struct {
 	// SlowThreshold is the duration at or above which a request's trace
 	// is retained and logged. Zero disables slow-trace capture (the
@@ -126,7 +135,7 @@ func (t *Tracer) Middleware(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
 		dur := time.Since(start)
-		if t.SlowThreshold > 0 && dur >= t.SlowThreshold {
+		if t.SlowThreshold > 0 && dur >= t.SlowThreshold && !sw.flushed {
 			ring := t.Ring
 			if ring == nil {
 				ring = obs.DefaultRing
@@ -151,27 +160,11 @@ func (t *Tracer) Middleware(next http.Handler) http.Handler {
 	})
 }
 
-// handleObsDump serves GET /debug/obs: every instrument's quantile
-// summary plus the retained slow traces, as JSON (apiv1.ObsDump).
+// handleObsDump serves GET /debug/obs: the retained slow traces, as
+// JSON (apiv1.ObsDump). Latency distributions are on /metrics and the
+// timeline.
 func (s *Server) handleObsDump(w http.ResponseWriter, r *http.Request) {
-	stats := obs.Default.Instruments()
-	dump := apiv1.ObsDump{
-		Instruments: make([]apiv1.ObsInstrument, len(stats)),
-		SlowTotal:   obs.DefaultRing.Total(),
-	}
-	for i, st := range stats {
-		dump.Instruments[i] = apiv1.ObsInstrument{
-			Name:        st.Name,
-			Labels:      st.Labels,
-			Count:       st.Count,
-			TotalMillis: float64(st.Sum) / 1e6,
-			P50Millis:   st.P50 / 1e6,
-			P90Millis:   st.P90 / 1e6,
-			P99Millis:   st.P99 / 1e6,
-			P999Millis:  st.P999 / 1e6,
-			MaxMillis:   st.Max / 1e6,
-		}
-	}
+	dump := apiv1.ObsDump{SlowTotal: obs.DefaultRing.Total()}
 	for _, e := range obs.DefaultRing.Snapshot() {
 		trace := apiv1.ObsTrace{
 			ID:              e.ID,

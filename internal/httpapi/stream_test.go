@@ -16,6 +16,7 @@ import (
 	"diggsim/internal/digg"
 	"diggsim/internal/graph"
 	"diggsim/internal/live"
+	"diggsim/internal/obs"
 	"diggsim/internal/rng"
 )
 
@@ -342,6 +343,61 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if stats.HTTP.Requests == 0 {
 		t.Error("metrics middleware counted no requests")
+	}
+}
+
+// TestTracerSkipsStreams checks a stream is not a slow request: an
+// SSE stream held open past the tracer's slow threshold leaves its
+// ring untouched, while a slow plain response still lands in it.
+func TestTracerSkipsStreams(t *testing.T) {
+	g, err := graph.PreferentialAttachment(rng.New(11), 200, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := digg.NewPlatform(g, &digg.ClassicPromotion{VoteThreshold: 8, Window: digg.Day})
+	svc, err := live.NewService(p, live.Config{Seed: 5, StartAt: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(p, 100, nil)
+	srv.AttachLive(svc)
+	const slow = 20 * time.Millisecond
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.HandleFunc("GET /slow", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(2 * slow)
+		w.WriteHeader(http.StatusOK)
+	})
+	tracer := &Tracer{SlowThreshold: slow, Ring: obs.NewTraceRing(8)}
+	ts := httptest.NewServer(tracer.Middleware(mux))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := tracer.Ring.Total(); got != 1 {
+		t.Fatalf("slow plain request: ring total %d, want 1", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * slow)
+	cancel()
+	resp.Body.Close()
+	// Close waits for the stream handler, and so for the tracer's
+	// verdict on it.
+	ts.Close()
+	if got := tracer.Ring.Total(); got != 1 {
+		t.Fatalf("after a %v stream: ring total %d, want 1 (streams are not slow requests)", 3*slow, got)
 	}
 }
 

@@ -24,17 +24,33 @@ const (
 	minTimelineStep       = time.Second
 )
 
+// readRouteClasses are the route classes of the read endpoints: the
+// request-latency series the read_latency SLO judges. Writes, health
+// probes and scrapes have latency profiles of their own and stay out
+// of it.
+var readRouteClasses = []string{"frontpage", "story", "stories", "upcoming", "user", "links", "topusers", "stats"}
+
 // DefaultSLOs returns the burn-rate objectives AttachTimeline applies
-// when given none: the two end-to-end freshness spans and the hot read
-// path's latency.
+// when given none: the two end-to-end freshness spans, the read
+// routes' latency and the live simulation's step time. They are the
+// one definition of a healthy node: /readyz burns on them and
+// diggload gates a run on them.
 func DefaultSLOs() []obs.SLO {
+	reads := make([]string, len(readRouteClasses))
+	for i, class := range readRouteClasses {
+		reads[i] = routeLabels(class)
+	}
 	return []obs.SLO{
 		{Name: "frontpage_freshness", Family: obs.FreshnessFrontpageFamily,
 			Objective: 0.99, Threshold: 250 * time.Millisecond},
 		{Name: "sse_freshness", Family: obs.FreshnessSSEFamily,
 			Objective: 0.99, Threshold: time.Second},
-		{Name: "read_latency", Family: "diggsim_http_request_seconds",
+		{Name: "read_latency", Family: requestFamily, Labels: reads,
 			Objective: 0.99, Threshold: 10 * time.Millisecond},
+		// Past the default 200ms tick the simulation falls behind wall
+		// time.
+		{Name: "live_step", Family: "diggsim_live_step_seconds",
+			Objective: 0.99, Threshold: 200 * time.Millisecond},
 	}
 }
 
@@ -74,7 +90,7 @@ func (s *Server) degradedSLO() string {
 
 // handleTimeline serves GET /debug/timeline?window=300&step=10 (both
 // seconds): every instrument's trend over the trailing window plus the
-// SLO burn evaluation.
+// SLO burn evaluation, each SLO also measured over the window.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if s.timeline == nil {
 		writeError(w, newAPIError(http.StatusNotFound, apiv1.CodeNotFound, "no timeline attached"))
@@ -102,7 +118,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		StepSeconds:     stepD.Seconds(),
 		IntervalSeconds: s.timeline.Interval().Seconds(),
 		Series:          timelineSeries(s.timeline.Dump(windowD, stepD)),
-		Burn:            burnToWire(s.burnStatuses()),
+		Burn:            s.burnToWire(windowD),
 	}
 	writeJSON(w, http.StatusOK, dump)
 }
@@ -132,8 +148,10 @@ func timelineSeries(in []obs.TimelineSeries) []apiv1.TimelineSeries {
 	return out
 }
 
-// burnToWire converts burn statuses to the wire shape.
-func burnToWire(in []obs.BurnStatus) []apiv1.BurnStatus {
+// burnToWire evaluates the configured SLOs in the wire shape, each
+// also measured over window.
+func (s *Server) burnToWire(window time.Duration) []apiv1.BurnStatus {
+	in := s.burnStatuses()
 	if len(in) == 0 {
 		return nil
 	}
@@ -146,6 +164,7 @@ func burnToWire(in []obs.BurnStatus) []apiv1.BurnStatus {
 			ThresholdMillis: float64(st.SLO.Threshold) / 1e6,
 			Short:           burnWindowToWire(st.Short),
 			Long:            burnWindowToWire(st.Long),
+			Window:          burnWindowToWire(s.timeline.Measure(st.SLO, window)),
 			Degraded:        st.Degraded,
 		}
 	}

@@ -3,7 +3,8 @@
 // sees — Zipf-skewed readers, cursor crawlers, batch vote/submit
 // writers, and SSE subscriber swarms — run as one mixed scenario
 // against a live diggd, measured through internal/obs histograms and
-// gated on SLOs.
+// gated on client-side SLOs and on the server's own SLO table over the
+// run window.
 //
 // The drivers are open-loop and coordinated-omission-safe: operations
 // are scheduled on a fixed intended-rate timeline (wrk2-style), and
@@ -73,8 +74,9 @@ type Scenario struct {
 	// swarm ramp (default 500/s).
 	SwarmConnectRPS float64 `json:"swarm_connect_rps"`
 
-	// SLO holds the pass/fail thresholds; zero fields take defaults
-	// aligned with docs/observability.md.
+	// SLO holds the client-side thresholds; zero fields take defaults
+	// aligned with docs/observability.md. The run is also gated on the
+	// server's own SLOs over the run window.
 	SLO SLOConfig `json:"slo"`
 }
 
@@ -159,13 +161,11 @@ type Report struct {
 	// merged into one (obs.HistSnapshot.Merge), for a single
 	// all-traffic tail number.
 	Combined *PopulationReport `json:"combined,omitempty"`
-	SLOs     []SLOResult       `json:"slos"`
+	// SLOs are the gates: the client gates, then one per server SLO
+	// judged over the run window.
+	SLOs []SLOResult `json:"slos"`
 	// Pass is the scenario verdict: every SLO held.
 	Pass bool `json:"pass"`
-	// ServerInstruments are the server-side latency summaries scraped
-	// from /debug/obs after the run (lifetime quantiles — boot the
-	// server fresh per scenario for clean numbers).
-	ServerInstruments []apiv1.ObsInstrument `json:"server_instruments,omitempty"`
 }
 
 // Population returns the named population's report, or nil.

@@ -3,7 +3,11 @@ package load
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,34 +128,57 @@ func TestSLOEvaluate(t *testing.T) {
 			{Name: "write", Ops: 100, Errors: 0, P99Millis: 40},
 			{Name: "swarm", Ops: 50, P99Millis: 200},
 		},
-		ServerInstruments: []apiv1.ObsInstrument{
-			{Name: "diggsim_http_request_seconds", Labels: `route="frontpage"`, Count: 500, P99Millis: 4},
-			{Name: "diggsim_http_request_seconds", Labels: `route="story"`, Count: 400, P99Millis: 6},
-			{Name: "diggsim_http_request_seconds", Labels: `route="submit"`, Count: 10, P99Millis: 500},
-			{Name: "diggsim_live_step_seconds", Count: 100, P99Millis: 90},
-		},
 	}
-	evaluateSLOs(rep, SLOConfig{}.withDefaults())
+	burn := []apiv1.BurnStatus{
+		{Name: "read_latency", Family: "diggsim_http_request_seconds", Objective: 0.99, ThresholdMillis: 10,
+			Window: apiv1.BurnWindow{WindowSeconds: 10, CoveredSeconds: 10, Total: 1000, Bad: 10}},
+		{Name: "live_step", Family: "diggsim_live_step_seconds", Objective: 0.99, ThresholdMillis: 200,
+			Window: apiv1.BurnWindow{WindowSeconds: 10, CoveredSeconds: 10}},
+	}
+	gate := func(name string) SLOResult {
+		t.Helper()
+		for _, r := range rep.SLOs {
+			if r.Name == name {
+				return r
+			}
+		}
+		t.Fatalf("no %s gate in %+v", name, rep.SLOs)
+		return SLOResult{}
+	}
+	evaluateSLOs(rep, SLOConfig{}.withDefaults(), serverGates(burn))
 	if !rep.Pass {
 		t.Errorf("healthy report failed: %+v", rep.SLOs)
 	}
-	// The write-route p99 of 500ms must not leak into the read gate.
-	for _, r := range rep.SLOs {
-		if r.Name == "server_read_p99_ms" && r.Observed != 6 {
-			t.Errorf("server read p99 observed = %v, want 6 (worst read class)", r.Observed)
-		}
+	// A server gate passes while its bad fraction is at most the error
+	// budget, and an SLO without traffic is skipped.
+	if r := gate("read_latency"); !r.Pass || r.Skipped || r.Observed != 0.01 || r.Threshold != 0.01 {
+		t.Errorf("read_latency at exactly its budget: %+v", r)
+	}
+	if r := gate("live_step"); !r.Skipped || !r.Pass {
+		t.Errorf("live_step without traffic: %+v", r)
+	}
+
+	// One bad read past the budget fails the scenario under the SLO's
+	// own name.
+	burn[0].Window.Bad = 11
+	evaluateSLOs(rep, SLOConfig{}.withDefaults(), serverGates(burn))
+	if rep.Pass || gate("read_latency").Pass {
+		t.Errorf("report passed with read_latency over budget: %+v", rep.SLOs)
 	}
 
 	// A blown client read SLO fails the scenario.
+	burn[0].Window.Bad = 0
 	rep.Populations[0].P99Millis = 80
-	evaluateSLOs(rep, SLOConfig{}.withDefaults())
+	evaluateSLOs(rep, SLOConfig{}.withDefaults(), serverGates(burn))
 	if rep.Pass {
 		t.Error("report passed with read p99 80ms > 50ms threshold")
 	}
 
-	// Absent populations skip their gates rather than failing.
+	// Absent populations and a node without a timeline skip their
+	// gates rather than failing.
 	empty := &Report{}
-	evaluateSLOs(empty, SLOConfig{}.withDefaults())
+	evaluateSLOs(empty, SLOConfig{}.withDefaults(),
+		serverSLOs(context.Background(), nil, 0, 0, errors.New("no timeline attached")))
 	if !empty.Pass {
 		t.Errorf("empty report failed: %+v", empty.SLOs)
 	}
@@ -159,6 +186,9 @@ func TestSLOEvaluate(t *testing.T) {
 		if !r.Skipped {
 			t.Errorf("gate %s not marked skipped on empty report", r.Name)
 		}
+	}
+	if got, want := len(empty.SLOs), 5+len(httpapi.DefaultSLOs()); got != want {
+		t.Errorf("empty report has %d gates, want %d (client gates plus every default server SLO)", got, want)
 	}
 }
 
@@ -184,6 +214,8 @@ func TestScenarioEndToEnd(t *testing.T) {
 	}
 	srv := httpapi.NewServer(p, 100, nil)
 	srv.AttachLive(svc)
+	tl := startTimeline(t)
+	srv.AttachTimeline(tl)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -250,15 +282,110 @@ func TestScenarioEndToEnd(t *testing.T) {
 	if rep.Combined == nil || rep.Combined.Ops == 0 {
 		t.Error("combined histogram missing")
 	}
-	if len(rep.SLOs) == 0 {
-		t.Error("no SLO gates evaluated")
-	}
-	if len(rep.ServerInstruments) == 0 {
-		t.Error("no server instruments scraped from /debug/obs")
+	// Every server SLO saw traffic in the run window and was judged.
+	for _, slo := range httpapi.DefaultSLOs() {
+		found := false
+		for _, r := range rep.SLOs {
+			if r.Name == slo.Name {
+				found = true
+				t.Logf("server gate %s: observed %.4f, threshold %.2f (%s)", r.Name, r.Observed, r.Threshold, r.Detail)
+				if r.Skipped {
+					t.Errorf("server gate %s skipped: %s", r.Name, r.Detail)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no gate for server SLO %s", slo.Name)
+		}
 	}
 
 	// The report must serialize: it is the body of BENCH_load.json.
 	if _, err := json.MarshalIndent(rep, "", "  "); err != nil {
 		t.Fatalf("report does not serialize: %v", err)
 	}
+}
+
+// startTimeline runs a fast-capturing timeline over obs.Default until
+// the test ends.
+func startTimeline(t *testing.T) *obs.Timeline {
+	t.Helper()
+	tl := obs.NewTimeline(obs.Default, 1024, 20*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tl.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return tl
+}
+
+// TestBurningSLOFailsReadyzAndRun gives a server an SLO every request
+// breaks: /readyz reports it degraded, and a load run against the same
+// server fails a gate of the same name, because both judge the
+// server's one SLO table.
+func TestBurningSLOFailsReadyzAndRun(t *testing.T) {
+	g, err := graph.PreferentialAttachment(rng.New(11), 500, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := digg.NewPlatform(g, &digg.ClassicPromotion{VoteThreshold: 8, Window: digg.Day})
+	for i := 0; i < 20; i++ {
+		if _, err := p.Submit(digg.UserID(i), "s", 0.5, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httpapi.NewServer(p, 100, nil)
+	burning := obs.SLO{Name: "every_request_slow", Family: "diggsim_http_request_seconds",
+		Objective: 0.99, Threshold: time.Nanosecond}
+	srv.AttachTimeline(startTimeline(t), append(httpapi.DefaultSLOs(), burning)...)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Traffic burns the SLO; readiness must name it within a few
+	// captures.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			if !strings.Contains(string(body), burning.Name) {
+				t.Fatalf("/readyz degraded without naming %s: %s", burning.Name, body)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz still %d with %s burning", resp.StatusCode, burning.Name)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	rep, err := Run(context.Background(), Scenario{
+		BaseURL:         ts.URL,
+		DurationSeconds: 0.5,
+		RampSeconds:     0.1,
+		ReadRPS:         40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pass {
+		t.Fatalf("run passed with %s burning: %+v", burning.Name, rep.SLOs)
+	}
+	for _, r := range rep.SLOs {
+		if r.Name == burning.Name {
+			if r.Pass || r.Skipped || r.Observed != 1 {
+				t.Fatalf("gate %s: %+v, want failed with every observation bad", r.Name, r)
+			}
+			return
+		}
+	}
+	t.Fatalf("no gate named %s in %+v", burning.Name, rep.SLOs)
 }

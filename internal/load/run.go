@@ -15,7 +15,7 @@ import (
 // measured report. The duration covers the whole run including the
 // ramp; populations with a zero rate (or zero swarm size) are skipped.
 // Run is synchronous: it returns after every in-flight operation has
-// completed and the server's instruments have been scraped.
+// completed and the server's SLOs have been read over the run window.
 func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	sc = sc.withDefaults()
 	if sc.BaseURL == "" {
@@ -47,6 +47,11 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	if tgt.stories == 0 && (sc.ReadRPS > 0 || sc.WriteRPS > 0) {
 		return nil, fmt.Errorf("load: server has no stories to read or digg")
 	}
+
+	// The node's timeline capture cadence, so the gate read after the
+	// run can wait for the first capture past its end.
+	probe, probeErr := client.Timeline(ctx, time.Second, time.Second)
+	interval := time.Duration(probe.IntervalSeconds * float64(time.Second))
 
 	reg := obs.NewRegistry()
 	duration := sc.Duration()
@@ -167,17 +172,6 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 		rep.Populations = append(rep.Populations, pr)
 	}
 
-	// Server-side view: scrape the instrument summaries after the run.
-	// Failure to scrape is not fatal — the server-side gates report as
-	// skipped — but the error is surfaced in the report detail.
-	if dump, err := client.ObsDump(ctx); err == nil {
-		for _, inst := range dump.Instruments {
-			if inst.Count > 0 {
-				rep.ServerInstruments = append(rep.ServerInstruments, inst)
-			}
-		}
-	}
-
-	evaluateSLOs(rep, sc.SLO)
+	evaluateSLOs(rep, sc.SLO, serverSLOs(ctx, client, interval, duration, probeErr))
 	return rep, nil
 }

@@ -1,15 +1,21 @@
 package load
 
 import (
+	"context"
 	"fmt"
-	"strings"
+	"math"
+	"time"
+
+	"diggsim/internal/apiv1"
+	"diggsim/internal/httpapi"
 )
 
-// SLOConfig holds the scenario's pass/fail thresholds. Zero fields
-// take the defaults below; a negative field disables that gate. The
-// server-side defaults mirror the suggested SLOs in
-// docs/observability.md; the client-side ones add loopback headroom
-// for SDK and scheduling overhead.
+// SLOConfig holds the scenario's client-side pass/fail thresholds.
+// Zero fields take the defaults below; a negative field disables that
+// gate. They add loopback headroom for SDK and scheduling overhead to
+// the suggested SLOs in docs/observability.md. The server-side gates
+// are not configured here: they are the server's own SLO table (see
+// serverSLOs).
 type SLOConfig struct {
 	// ReadP99Millis bounds the reader population's client-observed p99
 	// (default 50).
@@ -19,8 +25,8 @@ type SLOConfig struct {
 	WriteP99Millis float64 `json:"write_p99_ms"`
 	// FreshnessP99Millis bounds the freshness probe's client-observed
 	// write→visible p99 (default 250, mirroring the server-side
-	// frontpage-freshness SLO in docs/observability.md — the probe adds
-	// two request RTTs on top, which loopback absorbs).
+	// frontpage_freshness SLO — the probe adds two request RTTs on
+	// top, which loopback absorbs).
 	FreshnessP99Millis float64 `json:"freshness_p99_ms"`
 	// FirstEventP99Millis bounds the swarm's intended-connect→first-
 	// event p99 (default 1000; the feed only carries events when the
@@ -29,14 +35,6 @@ type SLOConfig struct {
 	// MaxErrorRatio bounds errors/ops across the request populations
 	// (default 0.01).
 	MaxErrorRatio float64 `json:"max_error_ratio"`
-	// ServerReadP99Millis bounds the server-side p99 of
-	// diggsim_http_request_seconds across read route classes (default
-	// 10, per docs/observability.md's read-availability SLO).
-	ServerReadP99Millis float64 `json:"server_read_p99_ms"`
-	// ServerStepP99Millis bounds the server-side p99 of
-	// diggsim_live_step_seconds (default 200 — the default tick; past
-	// it the simulation falls behind wall time).
-	ServerStepP99Millis float64 `json:"server_step_p99_ms"`
 }
 
 func (c SLOConfig) withDefaults() SLOConfig {
@@ -50,8 +48,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	def(&c.FreshnessP99Millis, 250)
 	def(&c.FirstEventP99Millis, 1000)
 	def(&c.MaxErrorRatio, 0.01)
-	def(&c.ServerReadP99Millis, 10)
-	def(&c.ServerStepP99Millis, 200)
 	return c
 }
 
@@ -62,22 +58,16 @@ type SLOResult struct {
 	Observed  float64 `json:"observed"`
 	Pass      bool    `json:"pass"`
 	// Skipped marks gates that had nothing to measure (population not
-	// run, instrument absent); a skipped gate does not fail the
-	// scenario but is reported so silence is visible.
+	// run, no timeline on the node, server SLO saw no traffic); a
+	// skipped gate does not fail the scenario but is reported so
+	// silence is visible.
 	Skipped bool   `json:"skipped,omitempty"`
 	Detail  string `json:"detail,omitempty"`
 }
 
-// serverReadClasses are the diggsim_http_request_seconds route classes
-// counted as reads by docs/observability.md's availability SLO.
-var serverReadClasses = map[string]bool{
-	"frontpage": true, "story": true, "stories": true, "upcoming": true,
-	"user": true, "links": true, "topusers": true, "stats": true,
-}
-
-// evaluateSLOs fills in rep.SLOs and rep.Pass from the populations and
-// the scraped server instruments.
-func evaluateSLOs(rep *Report, cfg SLOConfig) {
+// evaluateSLOs fills in rep.SLOs and rep.Pass: the client gates from
+// the populations, then the server gates.
+func evaluateSLOs(rep *Report, cfg SLOConfig, server []SLOResult) {
 	var results []SLOResult
 	gate := func(name string, threshold, observed float64, detail string, measured bool) {
 		if threshold < 0 {
@@ -117,32 +107,9 @@ func evaluateSLOs(rep *Report, cfg SLOConfig) {
 	gate("max_error_ratio", cfg.MaxErrorRatio, ratio,
 		fmt.Sprintf("%d errors / %d ops across request populations", errs, ops), ops > 0)
 
-	srvRead, srvReadSeen := 0.0, false
-	srvStep, srvStepSeen := 0.0, false
-	for _, inst := range rep.ServerInstruments {
-		switch inst.Name {
-		case "diggsim_http_request_seconds":
-			if serverReadClasses[routeClass(inst.Labels)] && inst.Count > 0 {
-				srvReadSeen = true
-				if inst.P99Millis > srvRead {
-					srvRead = inst.P99Millis
-				}
-			}
-		case "diggsim_live_step_seconds":
-			if inst.Count > 0 {
-				srvStepSeen = true
-				srvStep = inst.P99Millis
-			}
-		}
-	}
-	gate("server_read_p99_ms", cfg.ServerReadP99Millis, srvRead,
-		"worst diggsim_http_request_seconds p99 across read route classes (server lifetime)", srvReadSeen)
-	gate("server_step_p99_ms", cfg.ServerStepP99Millis, srvStep,
-		"diggsim_live_step_seconds p99 (server lifetime)", srvStepSeen)
-
-	rep.SLOs = results
+	rep.SLOs = append(results, server...)
 	rep.Pass = true
-	for _, r := range results {
+	for _, r := range rep.SLOs {
 		if !r.Pass {
 			rep.Pass = false
 		}
@@ -156,16 +123,57 @@ func popP99(p *PopulationReport) float64 {
 	return p.P99Millis
 }
 
-// routeClass extracts the class from a `route="..."` label string.
-func routeClass(labels string) string {
-	const key = `route="`
-	i := strings.Index(labels, key)
-	if i < 0 {
-		return ""
+// serverSLOs judges the run by the server's own SLO table, the one
+// its /readyz burns on. interval is the node's timeline capture
+// cadence, or probeErr why the node has none. It waits one interval,
+// so the timeline holds a capture past the run's end, then reads
+// every SLO measured over the run's length (serverGates). A node
+// without a timeline has its default SLOs reported as skipped.
+func serverSLOs(ctx context.Context, c *httpapi.Client, interval, run time.Duration, probeErr error) []SLOResult {
+	err := probeErr
+	var dump apiv1.TimelineDump
+	if err == nil {
+		select {
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-time.After(interval):
+			dump, err = c.Timeline(ctx, run, run)
+		}
 	}
-	rest := labels[i+len(key):]
-	if j := strings.IndexByte(rest, '"'); j >= 0 {
-		return rest[:j]
+	if err != nil {
+		var gates []SLOResult
+		for _, slo := range httpapi.DefaultSLOs() {
+			gates = append(gates, SLOResult{Name: slo.Name, Pass: true, Skipped: true,
+				Detail: fmt.Sprintf("no server timeline to judge %s by: %v", slo.Family, err)})
+		}
+		return gates
 	}
-	return ""
+	return serverGates(dump.Burn)
+}
+
+// serverGates turns burn entries into gates named after their SLOs,
+// judged over each entry's query window. A gate's observed value is
+// the window's bad fraction, by the server's own rule (an observation
+// is bad when its histogram bucket lies at or above the SLO
+// threshold), and it passes while that is at most the error budget
+// 1 - objective. An SLO that saw no traffic is skipped.
+func serverGates(burn []apiv1.BurnStatus) []SLOResult {
+	gates := make([]SLOResult, 0, len(burn))
+	for _, b := range burn {
+		w := b.Window
+		// Rounded so an objective of 0.99 reads as a budget of 0.01,
+		// not 0.010000000000000009.
+		r := SLOResult{Name: b.Name, Threshold: math.Round((1-b.Objective)*1e12) / 1e12}
+		if w.Total == 0 {
+			r.Pass, r.Skipped = true, true
+			r.Detail = fmt.Sprintf("no %s observations in the %.0fs window", b.Family, w.WindowSeconds)
+		} else {
+			r.Observed = float64(w.Bad) / float64(w.Total)
+			r.Pass = r.Observed <= r.Threshold
+			r.Detail = fmt.Sprintf("%d of %d %s observations at or above %gms over %.1fs",
+				w.Bad, w.Total, b.Family, b.ThresholdMillis, w.CoveredSeconds)
+		}
+		gates = append(gates, r)
+	}
+	return gates
 }

@@ -1,15 +1,15 @@
 package obs
 
 // burn.go is the multi-window SLO burn-rate evaluator over a
-// Timeline. An SLO says "objective of observations in family stay
-// under threshold"; the error budget is 1-objective. The burn rate of
-// a window is (bad fraction in the window) / (error budget): burn 1.0
-// consumes the budget exactly at the sustainable rate, burn 14.4 over
-// 5 minutes is the classic page-worthy signal (2% of a 30-day budget
-// in an hour). Requiring BOTH a short and a long window to burn
-// filters blips: the short window arms fast, the long window proves
-// it is sustained — and makes the signal reset quickly once the
-// regression stops feeding the short window.
+// Timeline. An SLO says "objective of the observations in its series
+// stay under threshold"; the error budget is 1-objective. The burn
+// rate of a window is (bad fraction in the window) / (error budget):
+// burn 1.0 consumes the budget exactly at the sustainable rate, burn
+// 14.4 over 5 minutes is the classic page-worthy signal (2% of a
+// 30-day budget in an hour). Requiring BOTH a short and a long
+// window to burn filters blips: the short window arms fast, the long
+// window proves it is sustained — and makes the signal reset quickly
+// once the regression stops feeding the short window.
 //
 // Bad counts come from bucket deltas: a bucket counts as bad when its
 // lower bound is at or above the threshold, so an estimate never
@@ -20,10 +20,15 @@ package obs
 import "time"
 
 // SLO is one latency objective over a histogram family: Objective of
-// observations should complete under Threshold.
+// the observations in the judged series should complete under
+// Threshold.
 type SLO struct {
-	Name      string        // short stable identifier, e.g. "frontpage_freshness"
-	Family    string        // histogram family; all labeled series merge
+	Name   string // short stable identifier, e.g. "frontpage_freshness"
+	Family string // histogram family
+	// Labels selects the judged series by their label text, as
+	// Registry.Histogram takes it (e.g. `route="frontpage"`); the
+	// selected series merge. Empty judges every series of Family.
+	Labels    []string
 	Objective float64       // e.g. 0.99
 	Threshold time.Duration // good when below
 }
@@ -76,8 +81,8 @@ func (tl *Timeline) EvaluateBurn(slos []SLO, cfg BurnConfig) []BurnStatus {
 	for _, slo := range slos {
 		st := BurnStatus{
 			SLO:   slo,
-			Short: tl.burnWindow(slo, cfg.Short),
-			Long:  tl.burnWindow(slo, cfg.Long),
+			Short: tl.Measure(slo, cfg.Short),
+			Long:  tl.Measure(slo, cfg.Long),
 		}
 		st.Degraded = st.Short.Burn >= cfg.Factor && st.Long.Burn >= cfg.Factor
 		out = append(out, st)
@@ -85,9 +90,11 @@ func (tl *Timeline) EvaluateBurn(slos []SLO, cfg BurnConfig) []BurnStatus {
 	return out
 }
 
-func (tl *Timeline) burnWindow(slo SLO, window time.Duration) BurnWindow {
+// Measure evaluates one SLO over the trailing window: the
+// observations its series took, how many were bad, and the burn rate.
+func (tl *Timeline) Measure(slo SLO, window time.Duration) BurnWindow {
 	w := BurnWindow{Window: window}
-	delta, covered, ok := tl.WindowDelta(slo.Family, window)
+	delta, covered, ok := tl.WindowDelta(slo.Family, slo.Labels, window)
 	if !ok {
 		return w
 	}

@@ -5,7 +5,7 @@ package obs
 // Family names live here so every recording layer (httpapi, live,
 // repl, the diggload client probe) spells the same series; each layer
 // registers its own labeled series with its registry. All are
-// histograms in seconds on /metrics, milliseconds on /debug/obs. See
+// histograms in seconds on /metrics, milliseconds on /debug/timeline. See
 // docs/observability.md for the exact span each one covers.
 const (
 	// FreshnessFrontpageFamily: write accepted → republished snapshot

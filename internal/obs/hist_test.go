@@ -76,6 +76,9 @@ func TestQuantileAccuracy(t *testing.T) {
 				t.Errorf("trial %d q=%.3f: estimate %.0f outside bucket [%d,%d) of reference %d",
 					trial, q, est, lower, upper, ref)
 			}
+			if est > snap.Max() {
+				t.Errorf("trial %d q=%.3f: estimate %.0f above Max %.0f", trial, q, est, snap.Max())
+			}
 		}
 	}
 }
@@ -244,29 +247,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if lastCum != 4 {
 		t.Fatalf("last cumulative bucket %d, want 4", lastCum)
-	}
-}
-
-// TestInstrumentStats sanity-checks the cold-side summary.
-func TestInstrumentStats(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("z_seconds", "", "Z.")
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	stats := r.Instruments()
-	if len(stats) != 1 {
-		t.Fatalf("got %d instruments, want 1", len(stats))
-	}
-	st := stats[0]
-	if st.Count != 100 {
-		t.Fatalf("count %d, want 100", st.Count)
-	}
-	if p50 := time.Duration(st.P50); p50 < 40*time.Millisecond || p50 > 65*time.Millisecond {
-		t.Fatalf("p50 %v outside [40ms, 65ms]", p50)
-	}
-	if st.P99 < st.P50 || st.P999 < st.P99 || st.Max < st.P999 {
-		t.Fatalf("quantiles not monotone: %+v", st)
 	}
 }
 

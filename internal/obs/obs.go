@@ -10,7 +10,7 @@
 // path and the write pipeline's per-record loop. The cold side —
 // registration, snapshots, quantile interpolation, exposition — takes
 // a mutex and allocates freely; it runs on /metrics scrapes and
-// /debug/obs dumps, never per request.
+// timeline captures, never per request.
 //
 // Two kinds of registry share one exposition and one timeline path.
 // Process-wide instruments — latency histograms and counters the
@@ -32,10 +32,8 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // Registry holds named metric families and renders them for export.
@@ -59,7 +57,8 @@ type family struct {
 }
 
 // Default is the process-wide registry every package-level instrument
-// registers with. cmd binaries export it on /metrics and /debug/obs.
+// registers with. cmd binaries export it on /metrics and capture it
+// into their timeline.
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
@@ -208,47 +207,6 @@ func writeSeries(b *bytes.Buffer, family, sfx, labels string) {
 		b.WriteByte('}')
 	}
 	b.WriteByte(' ')
-}
-
-// InstrumentStat is a cold-side summary of one histogram series —
-// what /debug/obs dumps and diggstats -obs tabulates.
-type InstrumentStat struct {
-	Name   string
-	Labels string
-	Count  uint64
-	// Sum is the total observed time.
-	Sum time.Duration
-	// Quantiles are interpolated estimates in nanoseconds.
-	P50, P90, P99, P999 float64
-	// Max is the upper bound of the highest non-empty bucket (an upper
-	// estimate of the largest observation).
-	Max float64
-}
-
-// Instruments summarizes every histogram series, in registration order
-// (series within a family sorted by labels for stability).
-func (r *Registry) Instruments() []InstrumentStat {
-	var out []InstrumentStat
-	var snap HistSnapshot
-	for _, f := range r.table() {
-		series := append([]*Histogram(nil), f.hists...)
-		sort.Slice(series, func(i, j int) bool { return series[i].labels < series[j].labels })
-		for _, h := range series {
-			h.Load(&snap)
-			out = append(out, InstrumentStat{
-				Name:   f.name,
-				Labels: h.labels,
-				Count:  snap.Count(),
-				Sum:    time.Duration(snap.Sum),
-				P50:    snap.Quantile(0.50),
-				P90:    snap.Quantile(0.90),
-				P99:    snap.Quantile(0.99),
-				P999:   snap.Quantile(0.999),
-				Max:    snap.Max(),
-			})
-		}
-	}
-	return out
 }
 
 // Counter is a monotonically increasing counter. Add is one atomic

@@ -20,6 +20,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -406,11 +407,12 @@ func histDelta(prevP, curP histPoint, prevBuf, curBuf []uint64, out *HistSnapsho
 	out.Sum = curP.sum - prevP.sum
 }
 
-// WindowDelta merges every series of family into one histogram delta
-// over the trailing window. covered is the wall time the delta
-// actually spans (shorter than window while the ring is still
-// filling). ok is false when fewer than two snapshots exist.
-func (tl *Timeline) WindowDelta(family string, window time.Duration) (delta HistSnapshot, covered time.Duration, ok bool) {
+// WindowDelta merges the series of family that labels selects (every
+// series when labels is empty) into one histogram delta over the
+// trailing window. covered is the wall time the delta actually spans
+// (shorter than window while the ring is still filling). ok is false
+// when fewer than two snapshots exist.
+func (tl *Timeline) WindowDelta(family string, labels []string, window time.Duration) (delta HistSnapshot, covered time.Duration, ok bool) {
 	tl.mu.Lock()
 	snaps := tl.ordered()
 	tl.mu.Unlock()
@@ -425,8 +427,8 @@ func (tl *Timeline) WindowDelta(family string, window time.Duration) (delta Hist
 	cur := make([]uint64, numBuckets)
 	var d HistSnapshot
 	for key := range snaps[len(snaps)-1].hists {
-		fam, _ := SplitSeriesKey(key)
-		if fam != family {
+		fam, lbl := SplitSeriesKey(key)
+		if fam != family || (len(labels) > 0 && !slices.Contains(labels, lbl)) {
 			continue
 		}
 		for i := 1; i < len(snaps); i++ {

@@ -336,6 +336,36 @@ func TestBurnRateDegradedAndRecovery(t *testing.T) {
 	}
 }
 
+// TestBurnJudgesSelectedSeries pins the SLO series selector: an SLO
+// naming label sets judges only those series of its family, and one
+// naming none judges them all.
+func TestBurnJudgesSelectedSeries(t *testing.T) {
+	reg := NewRegistry()
+	read := reg.Histogram("req_seconds", `route="read"`, "test")
+	write := reg.Histogram("req_seconds", `route="write"`, "test")
+	other := reg.Histogram("req_seconds", `route="other"`, "test")
+	tl := NewTimeline(reg, 16, time.Second)
+	tl.Capture(tick(0))
+	for i := 0; i < 90; i++ {
+		read.Observe(time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		write.Observe(time.Second)
+		other.Observe(time.Millisecond)
+	}
+	tl.Capture(tick(1))
+
+	slo := SLO{Name: "read", Family: "req_seconds", Labels: []string{`route="read"`, `route="other"`},
+		Objective: 0.99, Threshold: 10 * time.Millisecond}
+	if w := tl.Measure(slo, time.Minute); w.Total != 100 || w.Bad != 0 || w.Burn != 0 {
+		t.Fatalf("selected series: %+v, want 100 observations and none bad", w)
+	}
+	slo.Labels = nil
+	if w := tl.Measure(slo, time.Minute); w.Total != 110 || w.Bad != 10 {
+		t.Fatalf("whole family: %+v, want 110 observations and 10 bad", w)
+	}
+}
+
 func TestBurnZeroTraffic(t *testing.T) {
 	reg := NewRegistry()
 	reg.Histogram("fresh_seconds", "", "test")

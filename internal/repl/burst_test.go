@@ -37,6 +37,22 @@ func TestFollowerAppliesBurstWithoutScheduledBeat(t *testing.T) {
 	}
 }
 
+// TestTailReturnsOnIdleShard pins that a WAL stream sends its headers
+// when it opens: Tail on a caught-up shard returns before any frame,
+// so a follower records contact without waiting for a write or a beat.
+func TestTailReturnsOnIdleShard(t *testing.T) {
+	pr := startPrimaryBeating(t, 1, time.Hour)
+	mutate(t, pr.durable, 131, 5)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	start := time.Now()
+	rc, err := pr.transport().Tail(ctx, 0, pr.durable.AppliedLSN())
+	if err != nil {
+		t.Fatalf("Tail on an idle shard: %v after %v", err, time.Since(start))
+	}
+	rc.Close()
+}
+
 func TestSourceEndsEachBurstWithOneHeartbeat(t *testing.T) {
 	pr := startPrimaryBeating(t, 1, time.Hour)
 	ds := pr.durable
@@ -45,16 +61,14 @@ func TestSourceEndsEachBurstWithOneHeartbeat(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	rc, err := pr.transport().Tail(ctx, 0, h0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
 	frames := make(chan Frame, 1024)
 	go func() {
 		defer close(frames)
-		// Tail returns once the source flushes its first frame, which an
-		// idle stream must not do before the first burst.
-		rc, err := pr.transport().Tail(ctx, 0, h0)
-		if err != nil {
-			return
-		}
-		defer rc.Close()
 		fr := NewFrameReader(rc)
 		for {
 			f, err := fr.Next()

@@ -244,6 +244,11 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-diggsim-repl")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		// Send the headers now: a follower's Tail then returns on a
+		// caught-up shard instead of waiting for the first frame.
+		flusher.Flush()
+	}
 	flush := func(buf []byte) bool {
 		if len(buf) == 0 {
 			return true
