@@ -159,28 +159,18 @@ func writeFileAtomic(dir, path string, data []byte) error {
 	return d.Sync()
 }
 
-// readCheckpoint loads and validates one checkpoint file.
-func readCheckpoint(path string) (checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return checkpoint{}, err
-	}
-	return decodeCheckpoint(data, path)
-}
-
 // decodeCheckpoint validates and decodes a checkpoint blob; path names
 // the source in errors. The replication bootstrap decodes blobs it
 // received over the wire through the same function.
 func decodeCheckpoint(data []byte, path string) (checkpoint, error) {
 	var ck checkpoint
-	if len(data) < len(ckptMagic)+16+8+4 || string(data[:len(ckptMagic)]) != ckptMagic {
-		return ck, fmt.Errorf("durable: %s: not a checkpoint file", path)
+	if err := validateTrailingCRC(data, ckptMagic, path); err != nil {
+		return ck, err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return ck, fmt.Errorf("durable: %s: checkpoint checksum mismatch", path)
+	p := data[len(ckptMagic) : len(data)-4]
+	if len(p) < 16+8 {
+		return ck, fmt.Errorf("durable: %s: checkpoint header truncated", path)
 	}
-	p := body[len(ckptMagic):]
 	ck.LSN = binary.LittleEndian.Uint64(p)
 	ck.Gen = binary.LittleEndian.Uint64(p[8:])
 	p = p[16:]
@@ -201,26 +191,57 @@ func decodeCheckpoint(data []byte, path string) (checkpoint, error) {
 	return ck, nil
 }
 
-// newestCheckpoint returns the newest valid checkpoint in dir, or
-// ErrNoCheckpoint. Invalid (torn, bit-rotted) newer files are skipped
-// with their errors collected into the failure if nothing loads.
-func newestCheckpoint(dir string) (checkpoint, string, error) {
-	paths, err := listCheckpoints(dir)
-	if err != nil {
-		return checkpoint{}, "", err
+// validateTrailingCRC checks the framing both non-WAL file kinds share:
+// a magic prefix and a trailing CRC32-C over everything before it.
+func validateTrailingCRC(data []byte, magic, what string) error {
+	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
+		return fmt.Errorf("durable: %s: bad magic", what)
 	}
-	var failures []string
-	for _, path := range paths {
-		ck, err := readCheckpoint(path)
-		if err == nil {
-			return ck, path, nil
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
+		return fmt.Errorf("durable: %s: checksum mismatch", what)
+	}
+	return nil
+}
+
+// newestCheckpoint returns the newest valid checkpoint in dir: decoded,
+// with its path and its raw bytes, which the decoded blobs alias.
+// Recovery, Inspect and the replication source all find checkpoints
+// here. Torn or bit-rotted files are skipped in favour of older ones,
+// their errors collected into ErrNoCheckpoint if none loads. A listed
+// file that has gone was pruned after a newer checkpoint landed, so the
+// directory is listed again.
+func newestCheckpoint(dir string) (checkpoint, string, []byte, error) {
+	for attempt := 0; attempt < 5; attempt++ {
+		paths, err := listCheckpoints(dir)
+		if err != nil {
+			return checkpoint{}, "", nil, err
 		}
-		failures = append(failures, err.Error())
+		var failures []string
+		pruned := false
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if os.IsNotExist(err) {
+				pruned = true
+				break
+			}
+			var ck checkpoint
+			if err == nil {
+				ck, err = decodeCheckpoint(data, path)
+			}
+			if err == nil {
+				return ck, path, data, nil
+			}
+			failures = append(failures, err.Error())
+		}
+		if !pruned {
+			if len(failures) > 0 {
+				return checkpoint{}, "", nil, fmt.Errorf("%w (%s)", ErrNoCheckpoint, strings.Join(failures, "; "))
+			}
+			return checkpoint{}, "", nil, ErrNoCheckpoint
+		}
 	}
-	if len(failures) > 0 {
-		return checkpoint{}, "", fmt.Errorf("%w (%s)", ErrNoCheckpoint, strings.Join(failures, "; "))
-	}
-	return checkpoint{}, "", ErrNoCheckpoint
+	return checkpoint{}, "", nil, fmt.Errorf("%w (checkpoints kept churning under the reader)", ErrNoCheckpoint)
 }
 
 // pruneCheckpoints removes every checkpoint except the one at keep.
@@ -255,23 +276,17 @@ func writeGraphFile(dir string, g *graph.Graph) error {
 	return writeFileAtomic(dir, filepath.Join(dir, graphFile), buf)
 }
 
-// readGraphFile loads and rebuilds the social graph. Rebuilding goes
-// through the same CSR construction as generation, so adjacency order
-// — and therefore every replayed visibility cascade — is identical.
+// readGraphFile loads and rebuilds the social graph from the bytes
+// ReadGraphRaw has framing-checked. Rebuilding goes through the same
+// CSR construction as generation, so adjacency order — and therefore
+// every replayed visibility cascade — is identical.
 func readGraphFile(dir string) (*graph.Graph, error) {
-	path := filepath.Join(dir, graphFile)
-	data, err := os.ReadFile(path)
+	data, err := ReadGraphRaw(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(graphMagic)+4 || string(data[:len(graphMagic)]) != graphMagic {
-		return nil, fmt.Errorf("durable: %s: not a graph file", path)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("durable: %s: graph checksum mismatch", path)
-	}
-	p := body[len(graphMagic):]
+	path := filepath.Join(dir, graphFile)
+	p := data[len(graphMagic) : len(data)-4]
 	n, w := binary.Uvarint(p)
 	if w <= 0 {
 		return nil, fmt.Errorf("durable: %s: bad node count", path)

@@ -215,7 +215,9 @@ func Create(dir string, p *digg.Platform, genesis []byte, opts Options) (*Store,
 	if err := writeGraphFile(dir, p.SocialGraph()); err != nil {
 		return nil, err
 	}
-	w, err := wal.OpenWriter(dir, 0, opts.walOptions())
+	// The cleared directory reads as an empty log, which the writer
+	// starts at LSN 0.
+	w, _, err := openLog(dir, p, 0, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +314,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	ck, _, err := newestCheckpoint(dir)
+	ck, _, _, err := newestCheckpoint(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -324,50 +326,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("durable: checkpoint lsn %d: state generation %d, header says %d",
 			ck.LSN, p.Generation(), ck.Gen)
 	}
-	rec := RecoveryInfo{CheckpointLSN: ck.LSN}
-	r, err := wal.OpenReader(dir, ck.LSN)
+	w, rec, err := openLog(dir, p, ck.LSN, opts)
 	if err != nil {
 		return nil, err
-	}
-	if err := replay(r, p, ck.LSN, &rec); err != nil {
-		r.Close()
-		return nil, err
-	}
-	_, _, rec.TailTruncated = r.Torn()
-	walEnd := r.End()
-	r.Close()
-	if walEnd == 0 {
-		segs, serr := wal.ListSegments(dir)
-		if serr != nil {
-			return nil, serr
-		}
-		if len(segs) == 0 {
-			// A seeded replica directory (SeedReplica): a checkpoint with
-			// no log yet. The writer's first segment starts at the
-			// checkpoint LSN, which is exactly where replay "ended".
-			walEnd = ck.LSN
-		}
-	}
-	w, err := wal.OpenWriter(dir, ck.LSN, opts.walOptions())
-	if err != nil {
-		return nil, err
-	}
-	if w.NextLSN() < ck.LSN {
-		// The log's durable tail predates the checkpoint (possible
-		// under SyncOS: the checkpoint is fsynced, appends were not).
-		// The checkpoint supersedes the whole log: discard it and start
-		// a fresh segment at the checkpoint LSN, so new records never
-		// reuse LSNs the next recovery would skip.
-		w.Close()
-		if err := wal.RemoveSegments(dir); err != nil {
-			return nil, err
-		}
-		if w, err = wal.OpenWriter(dir, ck.LSN, opts.walOptions()); err != nil {
-			return nil, err
-		}
-	} else if w.NextLSN() != walEnd {
-		w.Close()
-		return nil, fmt.Errorf("durable: writer resumed at lsn %d, replay ended at %d", w.NextLSN(), walEnd)
 	}
 	rec.Generation = p.Generation()
 	s := &Store{
@@ -379,8 +340,28 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// replay applies every record at or after from onto p.
-func replay(r *wal.Reader, p *digg.Platform, from uint64, rec *RecoveryInfo) error {
+// openLog replays the log in dir from lsn onto p, then opens the
+// writer where replay stopped. The writer cuts a torn tail, and starts
+// a fresh log at lsn when the log is empty or ends below lsn (a new
+// store, a seeded replica, or a stale log under SyncOS): see
+// wal.OpenWriter.
+func openLog(dir string, p *digg.Platform, lsn uint64, opts Options) (*wal.Writer, RecoveryInfo, error) {
+	rec := RecoveryInfo{CheckpointLSN: lsn}
+	r, err := wal.OpenReader(dir, lsn)
+	if err != nil {
+		return nil, rec, err
+	}
+	defer r.Close()
+	if err := replay(r, p, &rec); err != nil {
+		return nil, rec, err
+	}
+	_, _, rec.TailTruncated = r.Torn()
+	w, err := wal.OpenWriter(r, lsn, opts.walOptions())
+	return w, rec, err
+}
+
+// replay applies every record r returns onto p, until io.EOF.
+func replay(r *wal.Reader, p *digg.Platform, rec *RecoveryInfo) error {
 	for {
 		record, err := r.Next()
 		if err == io.EOF {
@@ -391,9 +372,6 @@ func replay(r *wal.Reader, p *digg.Platform, from uint64, rec *RecoveryInfo) err
 				return fmt.Errorf("durable: replay: %w", err)
 			}
 			return err
-		}
-		if record.LSN < from {
-			continue
 		}
 		rejected, err := applyRecord(p, record.Type, record.Payload)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -428,7 +429,15 @@ func TestInterruptedCreateIsCleanedUp(t *testing.T) {
 	if err := writeGraphFile(dir, p.SocialGraph()); err != nil {
 		t.Fatal(err)
 	}
-	w, err := wal.OpenWriter(dir, 0, wal.Options{Sync: wal.SyncOS})
+	r, err := wal.OpenReader(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("fresh log: %v, want io.EOF", err)
+	}
+	w, err := wal.OpenWriter(r, 0, wal.Options{Sync: wal.SyncOS})
+	r.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +477,82 @@ func TestInterruptedCreateIsCleanedUp(t *testing.T) {
 	compareStores(t, want, s2)
 }
 
+// TestStaleLogIsDropped covers a log that ends below its checkpoint's
+// LSN, which SyncOS allows: the checkpoint is fsynced, the appends
+// before it may not be. Open must recover from the checkpoint, drop the
+// stale segments and append from the checkpoint LSN, so new records
+// never reuse LSNs that the next recovery would skip.
+func TestStaleLogIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Policy: testPolicy(), Sync: wal.SyncAlways, CheckpointEvery: -1}
+	p := newTestPlatform(t)
+	s, err := Create(dir, p, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, s, 81, 30)
+	// Keep the log as it stood after those 30 records: the durable
+	// tail a machine crash could leave behind.
+	segs, err := wal.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := make(map[string][]byte)
+	for _, seg := range segs {
+		if stale[seg.Path], err = os.ReadFile(seg.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate(t, s, 82, 20)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckLSN := s.AppliedLSN()
+	want := clonePlatform(t, p)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.RemoveSegments(dir); err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range stale {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("Open over a stale log: %v", err)
+	}
+	if rec := s2.Recovery(); rec.CheckpointLSN != ckLSN || rec.Replayed != 0 {
+		t.Fatalf("recovery %+v, want checkpoint lsn %d and nothing replayed", rec, ckLSN)
+	}
+	compareStores(t, want, s2)
+	if got := s2.AppliedLSN(); got != ckLSN {
+		t.Fatalf("log resumes at lsn %d, want the checkpoint's %d", got, ckLSN)
+	}
+	if segs, err := wal.ListSegments(dir); err != nil || len(segs) != 1 || segs[0].FirstLSN != ckLSN {
+		t.Fatalf("segments after Open: %+v, %v; want one starting at %d", segs, err, ckLSN)
+	}
+	mutate(t, s2, 83, 10)
+	want2 := clonePlatform(t, s2.Unwrap())
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if rec := s3.Recovery(); rec.Replayed != 10 {
+		t.Fatalf("replayed %d records, want the 10 appended after the checkpoint", rec.Replayed)
+	}
+	compareStores(t, want2, s3)
+}
+
 // TestCheckpointDecodeRejectsJunk re-checksums every truncation of a
-// valid checkpoint file and feeds it through readCheckpoint: each must
+// valid checkpoint file and feeds it through decodeCheckpoint: each must
 // return an error — never panic — or newestCheckpoint's fall-back to
 // older files could not run. A CRC-repaired graph file with an absurd
 // edge count must likewise error instead of allocating.
@@ -491,16 +574,12 @@ func TestCheckpointDecodeRejectsJunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	junk := filepath.Join(dir, "junk.ckpt")
 	for cut := 0; cut < len(data)-4; cut += 11 {
 		// Truncate the body and append a recomputed CRC so only the
 		// structural checks can reject it.
 		cand := append([]byte(nil), data[:cut]...)
 		cand = binary.LittleEndian.AppendUint32(cand, crc32.Checksum(cand, castagnoli))
-		if err := os.WriteFile(junk, cand, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readCheckpoint(junk); err == nil {
+		if _, err := decodeCheckpoint(cand, "junk"); err == nil {
 			t.Fatalf("CRC-repaired truncation at %d decoded without error", cut)
 		}
 	}
@@ -511,7 +590,7 @@ func TestCheckpointDecodeRejectsJunk(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, checkpointName(999999)), bogus, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck, path, err := newestCheckpoint(dir)
+	ck, path, _, err := newestCheckpoint(dir)
 	if err != nil {
 		t.Fatalf("fall-back to older checkpoint failed: %v", err)
 	}

@@ -81,7 +81,7 @@ func Inspect(dir string) (*Info, error) {
 	}
 	info.EndLSN = info.FirstLSN
 
-	if ck, path, err := newestCheckpoint(dir); err == nil {
+	if ck, path, _, err := newestCheckpoint(dir); err == nil {
 		info.Checkpoint = &CheckpointStats{
 			Path: path, LSN: ck.LSN, Generation: ck.Gen,
 			StateBytes: len(ck.State),

@@ -15,10 +15,8 @@ package durable
 // promotion — is a primary without any state conversion.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -66,34 +64,10 @@ func (s *Store) ApplyReplicated(lsn uint64, entries []wal.Entry) error {
 
 // ReadNewestCheckpointRaw returns the raw bytes of the newest valid
 // checkpoint file in dir plus its LSN — the blob a replica bootstrap
-// ships. It retries around the checkpoint pruner: a listed file may be
-// replaced between listing and reading, in which case the next listing
-// has the newer one.
+// ships, found exactly as recovery finds it.
 func ReadNewestCheckpointRaw(dir string) (data []byte, lsn uint64, err error) {
-	for attempt := 0; attempt < 5; attempt++ {
-		paths, err := listCheckpoints(dir)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, path := range paths {
-			data, err := os.ReadFile(path)
-			if os.IsNotExist(err) {
-				continue // pruned under us; try the next listing
-			}
-			if err != nil {
-				return nil, 0, err
-			}
-			ck, err := decodeCheckpoint(data, path)
-			if err != nil {
-				continue // torn or bit-rotted; fall back like recovery does
-			}
-			return data, ck.LSN, nil
-		}
-		if len(paths) == 0 {
-			return nil, 0, ErrNoCheckpoint
-		}
-	}
-	return nil, 0, fmt.Errorf("%w (checkpoints kept churning under the reader)", ErrNoCheckpoint)
+	ck, _, data, err := newestCheckpoint(dir)
+	return data, ck.LSN, err
 }
 
 // ReadGraphRaw returns the raw bytes of dir's immutable social-graph
@@ -137,17 +111,4 @@ func SeedReplica(dir string, graphData, ckptData []byte) error {
 		return err
 	}
 	return writeFileAtomic(dir, filepath.Join(dir, checkpointName(ck.LSN)), ckptData)
-}
-
-// validateTrailingCRC checks a magic-prefixed, CRC32-C-suffixed blob
-// (the graph file framing).
-func validateTrailingCRC(data []byte, magic, what string) error {
-	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return fmt.Errorf("durable: %s: bad magic", what)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return fmt.Errorf("durable: %s: checksum mismatch", what)
-	}
-	return nil
 }

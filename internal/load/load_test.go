@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -190,6 +191,68 @@ func TestSLOEvaluate(t *testing.T) {
 	if got, want := len(empty.SLOs), 5+len(httpapi.DefaultSLOs()); got != want {
 		t.Errorf("empty report has %d gates, want %d (client gates plus every default server SLO)", got, want)
 	}
+}
+
+// TestServerGatesJudgeWholeRun makes every read of a run in its first
+// capture interval. The server gates must still count each of them,
+// over a judged span at least as long as the run.
+func TestServerGatesJudgeWholeRun(t *testing.T) {
+	g, err := graph.PreferentialAttachment(rng.New(11), 200, 3, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := digg.NewPlatform(g, &digg.ClassicPromotion{VoteThreshold: 8, Window: digg.Day})
+	srv := httpapi.NewServer(p, 100, nil)
+	const interval, run = 250 * time.Millisecond, time.Second
+	tl := obs.NewTimeline(obs.Default, 64, interval)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tl.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	srv.AttachTimeline(tl)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	time.Sleep(2 * interval) // captures from before the run
+	start := time.Now()
+	const reads = 20
+	for i := 0; i < reads; i++ {
+		resp, err := http.Get(ts.URL + "/v1/frontpage?limit=5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	time.Sleep(time.Until(start.Add(run)))
+
+	for _, r := range serverSLOs(context.Background(), httpapi.NewClient(ts.URL), interval, run, nil) {
+		if r.Name != "read_latency" {
+			continue
+		}
+		var bad, total int
+		var covered float64
+		_, err := fmt.Sscanf(r.Detail, "%d of %d", &bad, &total)
+		if i := strings.LastIndex(r.Detail, " over "); err == nil && i >= 0 {
+			_, err = fmt.Sscanf(r.Detail[i:], " over %fs", &covered)
+		}
+		if err != nil || r.Skipped {
+			t.Fatalf("read_latency gate %+v (%v), want it measured", r, err)
+		}
+		if total != reads {
+			t.Errorf("read_latency judged %d reads, want all %d of the run", total, reads)
+		}
+		if covered < run.Seconds() {
+			t.Errorf("read_latency judged %.1fs, want at least the %v run", covered, run)
+		}
+		return
+	}
+	t.Fatal("no read_latency gate")
 }
 
 // TestScenarioEndToEnd runs a short mixed scenario — all four

@@ -127,8 +127,11 @@ func popP99(p *PopulationReport) float64 {
 // its /readyz burns on. interval is the node's timeline capture
 // cadence, or probeErr why the node has none. It waits one interval,
 // so the timeline holds a capture past the run's end, then reads
-// every SLO measured over the run's length (serverGates). A node
-// without a timeline has its default SLOs reported as skipped.
+// every SLO measured over the run's length plus that interval
+// (serverGates): the window ends at the capture past the run, so only
+// a window one interval longer than the run reaches back to a capture
+// taken before the run began. A node without a timeline has its
+// default SLOs reported as skipped.
 func serverSLOs(ctx context.Context, c *httpapi.Client, interval, run time.Duration, probeErr error) []SLOResult {
 	err := probeErr
 	var dump apiv1.TimelineDump
@@ -137,7 +140,7 @@ func serverSLOs(ctx context.Context, c *httpapi.Client, interval, run time.Durat
 		case <-ctx.Done():
 			err = ctx.Err()
 		case <-time.After(interval):
-			dump, err = c.Timeline(ctx, run, run)
+			dump, err = c.Timeline(ctx, run+interval, run)
 		}
 	}
 	if err != nil {

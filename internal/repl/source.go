@@ -65,17 +65,13 @@ func appendBeat(buf []byte, sh SourceShard, now time.Time) []byte {
 }
 
 // Source serves a node's replication endpoints. Zero-value durations
-// get defaults; Role, Generation and Promote may be nil.
+// get defaults; Role and Promote may be nil.
 type Source struct {
 	// Shards lists the node's shards in order.
 	Shards []SourceShard
 	// Role reports "primary" or "follower" for /status. Nil means
 	// "primary".
 	Role func() string
-	// Generation returns the store generation for /status. It must be
-	// race-safe (read from a published snapshot or under a lock). Nil
-	// reports zero.
-	Generation func() uint64
 	// Promote, when non-nil, promotes this node to primary on
 	// POST /repl/v1/promote.
 	Promote func() error
@@ -152,9 +148,6 @@ func (s *Source) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := Status{Role: "primary", Shards: len(s.Shards), Applied: make([]uint64, len(s.Shards))}
 	if s.Role != nil {
 		st.Role = s.Role()
-	}
-	if s.Generation != nil {
-		st.Generation = s.Generation()
 	}
 	for i, sh := range s.Shards {
 		st.Applied[i] = sh.Head()

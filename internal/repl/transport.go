@@ -28,8 +28,6 @@ type Status struct {
 	Shards int `json:"shards"`
 	// Applied holds each shard's applied LSN — the stream head.
 	Applied []uint64 `json:"applied_lsns"`
-	// Generation is the store's generation at the time of the call.
-	Generation uint64 `json:"generation"`
 }
 
 // TotalApplied sums the per-shard applied LSNs — the comparison key

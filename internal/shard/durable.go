@@ -106,6 +106,50 @@ func Create(dir string, src *digg.Platform, n int, genesis []byte, opts durable.
 // deterministic k-way merge on (PromotedAt, ID) that preserves each
 // shard's internal order.
 func Open(dir string, opts durable.Options) (*Store, error) {
+	s, err := openShards(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	n := s.n
+
+	// Re-densify: the first missing global ID across all shards bounds
+	// the acknowledged prefix; anything a shard holds beyond it came
+	// from a burst that never fully fsynced and was never acked.
+	trimmed := 0
+	prefix := s.densePrefix()
+	for i := 0; i < n; i++ {
+		keep := ownedBelow(prefix, i, n)
+		if dropped := s.plats[i].TrimStories(keep); dropped > 0 {
+			trimmed += dropped
+			// Checkpoint immediately so the shard's WAL (which still
+			// holds the trimmed records) can never replay them.
+			if err := s.stores[i].Checkpoint(); err != nil {
+				closeShards(s.stores)
+				return nil, fmt.Errorf("shard: checkpointing shard %d after trim: %w", i, err)
+			}
+		}
+	}
+
+	// Rebuild the merged story sequence by interleaving.
+	s.stories = make([]*digg.Story, prefix)
+	for k := 0; k < prefix; k++ {
+		s.stories[k] = s.plats[k%n].Stories()[k/n]
+	}
+	// Rebuild the merged promotion order by k-way merge.
+	s.promoted = s.mergeShardPromotions()
+	for _, id := range s.promoted {
+		s.promotedBySubmitter[s.stories[id].Submitter]++
+	}
+	s.rec = RecoveryInfo{Shards: recoveries(s.stores), Trimmed: trimmed, Generation: s.Generation()}
+	return s, nil
+}
+
+// openShards opens every shard directory under dir, sharing shard 0's
+// decoded graph with the rest and checking each shard's ID scheme, and
+// adopts the stores into a new Store. The merged story and promotion
+// views are left empty for the caller, whose rule for shard tails past
+// the dense prefix differs (Open trims them, OpenFollower waits).
+func openShards(dir string, opts durable.Options) (*Store, error) {
 	dirs, err := ShardDirs(dir)
 	if err != nil {
 		return nil, err
@@ -129,7 +173,6 @@ func Open(dir string, opts durable.Options) (*Store, error) {
 			return nil, fmt.Errorf("shard: shard %d recovered with ID scheme %d/%d, want %d/%d", i, off, step, i, n)
 		}
 	}
-
 	s := New(stores[0].SocialGraph(), opts.Policy, n)
 	for i, ds := range stores {
 		s.stores[i] = ds
@@ -138,36 +181,6 @@ func Open(dir string, opts durable.Options) (*Store, error) {
 		s.stats[i].replayed = uint64(ds.Recovery().Replayed)
 	}
 	s.dir = dir
-
-	// Re-densify: the first missing global ID across all shards bounds
-	// the acknowledged prefix; anything a shard holds beyond it came
-	// from a burst that never fully fsynced and was never acked.
-	trimmed := 0
-	prefix := s.densePrefix()
-	for i := 0; i < n; i++ {
-		keep := ownedBelow(prefix, i, n)
-		if dropped := s.plats[i].TrimStories(keep); dropped > 0 {
-			trimmed += dropped
-			// Checkpoint immediately so the shard's WAL (which still
-			// holds the trimmed records) can never replay them.
-			if err := s.stores[i].Checkpoint(); err != nil {
-				closeShards(stores)
-				return nil, fmt.Errorf("shard: checkpointing shard %d after trim: %w", i, err)
-			}
-		}
-	}
-
-	// Rebuild the merged story sequence by interleaving.
-	s.stories = make([]*digg.Story, prefix)
-	for k := 0; k < prefix; k++ {
-		s.stories[k] = s.plats[k%n].Stories()[k/n]
-	}
-	// Rebuild the merged promotion order by k-way merge.
-	s.promoted = s.mergeShardPromotions()
-	for _, id := range s.promoted {
-		s.promotedBySubmitter[s.stories[id].Submitter]++
-	}
-	s.rec = RecoveryInfo{Shards: recoveries(stores), Trimmed: trimmed, Generation: s.Generation()}
 	return s, nil
 }
 

@@ -64,36 +64,11 @@ func (s *Store) ShardAppliedLSN(i int) uint64 {
 // LSNs the stream will never resend. The merged views stop at the
 // dense prefix; AbsorbReplicated extends them as the streams catch up.
 func OpenFollower(dir string, opts durable.Options) (*Store, error) {
-	dirs, err := ShardDirs(dir)
+	s, err := openShards(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	n := len(dirs)
-	stores := make([]*durable.Store, n)
-	for i, d := range dirs {
-		ds, err := durable.Open(d, opts)
-		if err != nil {
-			closeShards(stores[:i])
-			return nil, fmt.Errorf("shard: opening follower shard %d: %w", i, err)
-		}
-		stores[i] = ds
-		if i == 0 {
-			opts.Graph = ds.SocialGraph()
-		}
-		if off, step := ds.Unwrap().IDScheme(); off != digg.StoryID(i) || step != digg.StoryID(n) {
-			closeShards(stores[:i+1])
-			return nil, fmt.Errorf("shard: shard %d recovered with ID scheme %d/%d, want %d/%d", i, off, step, i, n)
-		}
-	}
-
-	s := New(stores[0].SocialGraph(), opts.Policy, n)
-	for i, ds := range stores {
-		s.stores[i] = ds
-		s.shards[i] = ds
-		s.plats[i] = ds.Unwrap()
-		s.stats[i].replayed = uint64(ds.Recovery().Replayed)
-	}
-	s.dir = dir
+	n := s.n
 
 	prefix := s.densePrefix()
 	s.stories = make([]*digg.Story, prefix)
@@ -119,7 +94,7 @@ func OpenFollower(dir string, opts durable.Options) (*Store, error) {
 			s.replPending = append(s.replPending, pp)
 		}
 	}
-	s.rec = RecoveryInfo{Shards: recoveries(stores), Generation: s.Generation()}
+	s.rec = RecoveryInfo{Shards: recoveries(s.stores), Generation: s.Generation()}
 	return s, nil
 }
 

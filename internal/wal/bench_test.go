@@ -10,10 +10,7 @@ import (
 // policy knob, measured end to end by BenchmarkDurableBatchDigg).
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS})
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := openWriter(b, dir, 0, Options{Sync: SyncOS})
 	defer w.Close()
 	payload := make([]byte, 64)
 	for i := range payload {
@@ -33,10 +30,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // AppendBatch call, one write syscall for the group.
 func BenchmarkWALAppendBatch(b *testing.B) {
 	dir := b.TempDir()
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS})
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := openWriter(b, dir, 0, Options{Sync: SyncOS})
 	defer w.Close()
 	const group = 100
 	payload := make([]byte, 64)

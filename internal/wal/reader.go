@@ -3,17 +3,70 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 )
 
+// Record-level read failures. readRecord reports them and each reader
+// classifies them by its own tail rule.
+var (
+	errPartialRecord = errors.New("partial record")
+	errRecordTooLong = errors.New("record length exceeds limit")
+	errRecordCRC     = errors.New("record checksum mismatch")
+)
+
+// recordBuf is a reader's scratch for one record: the header and a
+// payload buffer reused across records, so reading allocates only when
+// a record outgrows every earlier one.
+type recordBuf struct {
+	hdr     [headerSize]byte
+	payload []byte
+}
+
+// readRecord reads one record from src and checks it: the header's
+// length bound before the payload is read, then the CRC. It returns
+// io.EOF when src ends exactly at a record boundary, errPartialRecord
+// when src ends inside the record, errRecordTooLong or errRecordCRC for
+// an invalid record, or src's own error. The payload is valid until the
+// next call.
+func (b *recordBuf) readRecord(src io.Reader) (typ byte, payload []byte, err error) {
+	if _, err := io.ReadFull(src, b.hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = errPartialRecord
+		}
+		return 0, nil, err
+	}
+	length := binary.LittleEndian.Uint32(b.hdr[1:5])
+	if length > MaxRecordSize {
+		return 0, nil, errRecordTooLong
+	}
+	if cap(b.payload) < int(length) {
+		b.payload = make([]byte, length)
+	}
+	payload = b.payload[:length]
+	if _, err := io.ReadFull(src, payload); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errPartialRecord
+		}
+		return 0, nil, err
+	}
+	crc := crc32.Update(0, castagnoli, b.hdr[:5])
+	crc = crc32.Update(crc, castagnoli, payload)
+	if crc != binary.LittleEndian.Uint32(b.hdr[5:9]) {
+		return 0, nil, errRecordCRC
+	}
+	return b.hdr[0], payload, nil
+}
+
 // Reader iterates the records of a log in LSN order. It is read-only
 // and tolerant of a torn tail; it must not run concurrently with a
-// Writer on the same directory (the durable store replays before it
-// opens its writer).
+// Writer on the same directory. Once it has returned io.EOF, OpenWriter
+// resumes the log exactly where it stopped.
 type Reader struct {
+	dir  string
 	segs []SegmentInfo
 	// seg is the index of the segment currently being read.
 	seg  int
@@ -21,12 +74,12 @@ type Reader struct {
 	br   *bufio.Reader
 	next uint64 // LSN of the next record
 	off  int64  // byte offset of the next record within the segment
-	buf  []byte // payload scratch, reused across records
+	rec  recordBuf
 
-	torn     bool
-	tornPath string
-	tornOff  int64
-	done     bool
+	torn bool
+	// end is sticky once reading stops: io.EOF at the end of the valid
+	// log, otherwise the error that stopped it.
+	end error
 }
 
 // OpenReader opens the log in dir for reading, positioned so that the
@@ -38,9 +91,8 @@ func OpenReader(dir string, at uint64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{segs: segs}
+	r := &Reader{dir: dir, segs: segs}
 	if len(segs) == 0 {
-		r.done = true
 		return r, nil
 	}
 	// Start at the last segment whose first LSN is <= at.
@@ -91,18 +143,20 @@ func (r *Reader) openSegment(i int) error {
 // corruption.
 func (r *Reader) lastSegment() bool { return r.seg == len(r.segs)-1 }
 
+// stop ends reading with err, which every later Next returns too.
+func (r *Reader) stop(err error) error {
+	r.end = err
+	return err
+}
+
 // fail classifies an invalid record: torn tail in the final segment,
 // hard ErrCorrupt anywhere else.
-func (r *Reader) fail(what string) error {
+func (r *Reader) fail(what error) error {
 	if r.lastSegment() {
 		r.torn = true
-		r.tornPath = r.segs[r.seg].Path
-		r.tornOff = r.off
-		r.done = true
-		return io.EOF
+		return r.stop(io.EOF)
 	}
-	r.done = true
-	return fmt.Errorf("%w: %s at %s offset %d", ErrCorrupt, what, r.segs[r.seg].Path, r.off)
+	return r.stop(fmt.Errorf("%w: %v at %s offset %d", ErrCorrupt, what, r.segs[r.seg].Path, r.off))
 }
 
 // Next returns the next record, io.EOF at the end of the log (including
@@ -111,52 +165,35 @@ func (r *Reader) fail(what string) error {
 // following Next call.
 func (r *Reader) Next() (Record, error) {
 	for {
-		if r.done {
-			return Record{}, io.EOF
+		if r.end != nil {
+			return Record{}, r.end
 		}
-		var hdr [headerSize]byte
-		n, err := io.ReadFull(r.br, hdr[:])
-		if err == io.EOF && n == 0 {
+		if len(r.segs) == 0 {
+			return Record{}, r.stop(io.EOF)
+		}
+		typ, payload, err := r.rec.readRecord(r.br)
+		if err == io.EOF {
 			// Clean end of this segment.
 			if r.lastSegment() {
-				r.done = true
-				return Record{}, io.EOF
+				return Record{}, r.stop(io.EOF)
 			}
 			// Contiguity check: the next segment must pick up exactly
 			// where this one ended, or records have gone missing.
 			if r.segs[r.seg+1].FirstLSN != r.next {
-				r.done = true
-				return Record{}, fmt.Errorf("%w: segment %s starts at lsn %d, want %d",
-					ErrCorrupt, r.segs[r.seg+1].Path, r.segs[r.seg+1].FirstLSN, r.next)
+				return Record{}, r.stop(fmt.Errorf("%w: segment %s starts at lsn %d, want %d",
+					ErrCorrupt, r.segs[r.seg+1].Path, r.segs[r.seg+1].FirstLSN, r.next))
 			}
 			if err := r.openSegment(r.seg + 1); err != nil {
-				r.done = true
-				return Record{}, err
+				return Record{}, r.stop(err)
 			}
 			continue
 		}
 		if err != nil {
-			return Record{}, r.fail("partial record header")
+			return Record{}, r.fail(err)
 		}
-		length := binary.LittleEndian.Uint32(hdr[1:5])
-		if length > MaxRecordSize {
-			return Record{}, r.fail(fmt.Sprintf("record length %d exceeds limit", length))
-		}
-		if cap(r.buf) < int(length) {
-			r.buf = make([]byte, length)
-		}
-		payload := r.buf[:length]
-		if _, err := io.ReadFull(r.br, payload); err != nil {
-			return Record{}, r.fail("partial record payload")
-		}
-		crc := crc32.Update(0, castagnoli, hdr[:5])
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != binary.LittleEndian.Uint32(hdr[5:9]) {
-			return Record{}, r.fail("record checksum mismatch")
-		}
-		rec := Record{LSN: r.next, Type: hdr[0], Payload: payload}
+		rec := Record{LSN: r.next, Type: typ, Payload: payload}
 		r.next++
-		r.off += int64(headerSize) + int64(length)
+		r.off += int64(headerSize) + int64(len(payload))
 		return rec, nil
 	}
 }
@@ -169,7 +206,10 @@ func (r *Reader) End() uint64 { return r.next }
 // checksum-failing) tail, and if so in which file and at which byte
 // offset the valid data ends. OpenWriter truncates exactly there.
 func (r *Reader) Torn() (path string, off int64, torn bool) {
-	return r.tornPath, r.tornOff, r.torn
+	if !r.torn {
+		return "", 0, false
+	}
+	return r.segs[r.seg].Path, r.off, true
 }
 
 // Close releases the reader's file handle.

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -50,7 +48,8 @@ type TailReader struct {
 	segFirst uint64
 	segPath  string
 	off      int64
-	buf      []byte
+	src      io.SectionReader // f from off on, one record's worth
+	rec      recordBuf
 }
 
 // OpenTailReader returns a tail reader positioned so that the first
@@ -82,47 +81,25 @@ func (r *TailReader) Next() (Record, error) {
 				return Record{}, err
 			}
 		}
-		var hdr [headerSize]byte
-		n, err := r.f.ReadAt(hdr[:], r.off)
-		if err != nil && err != io.EOF {
-			return Record{}, err
-		}
-		if n < headerSize {
+		r.src = *io.NewSectionReader(r.f, r.off, headerSize+MaxRecordSize)
+		typ, payload, err := r.rec.readRecord(&r.src)
+		switch err {
+		case nil:
+		case io.EOF, errPartialRecord:
 			if err := r.advance(); err != nil {
 				return Record{}, err
 			}
 			continue
-		}
-		length := binary.LittleEndian.Uint32(hdr[1:5])
-		if length > MaxRecordSize {
-			return Record{}, fmt.Errorf("%w: record length %d exceeds limit at %s offset %d",
-				ErrCorrupt, length, r.segPath, r.off)
-		}
-		if cap(r.buf) < int(length) {
-			r.buf = make([]byte, length)
-		}
-		payload := r.buf[:length]
-		n, err = r.f.ReadAt(payload, r.off+int64(headerSize))
-		if err != nil && err != io.EOF {
-			return Record{}, err
-		}
-		if n < int(length) {
-			if err := r.advance(); err != nil {
-				return Record{}, err
-			}
-			continue
-		}
-		crc := crc32.Update(0, castagnoli, hdr[:5])
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != binary.LittleEndian.Uint32(hdr[5:9]) {
-			// The full record was readable, so its bytes are final:
+		case errRecordTooLong, errRecordCRC:
+			// The whole record was readable, so its bytes are final:
 			// this is corruption, not an in-flight append.
-			return Record{}, fmt.Errorf("%w: record checksum mismatch at %s offset %d",
-				ErrCorrupt, r.segPath, r.off)
+			return Record{}, fmt.Errorf("%w: %v at %s offset %d", ErrCorrupt, err, r.segPath, r.off)
+		default:
+			return Record{}, err
 		}
-		rec := Record{LSN: r.next, Type: hdr[0], Payload: payload}
+		rec := Record{LSN: r.next, Type: typ, Payload: payload}
 		r.next++
-		r.off += int64(headerSize) + int64(length)
+		r.off += int64(headerSize) + int64(len(payload))
 		if rec.LSN < r.skipTo {
 			continue
 		}

@@ -30,10 +30,7 @@ func TestTailReaderFollowsLiveWriter(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny segment size forces rotations mid-test, so the tail reader
 	// crosses sealed-segment boundaries while the writer is live.
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS, SegmentSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{Sync: SyncOS, SegmentSize: 128})
 	defer w.Close()
 
 	r, err := OpenTailReader(dir, 0)
@@ -83,10 +80,7 @@ func TestTailReaderFollowsLiveWriter(t *testing.T) {
 
 func TestTailReaderStartsMidLog(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS, SegmentSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{Sync: SyncOS, SegmentSize: 128})
 	defer w.Close()
 	for i := 0; i < 20; i++ {
 		if _, err := w.Append(2, payload(i)); err != nil {
@@ -111,10 +105,7 @@ func TestTailReaderStartsMidLog(t *testing.T) {
 
 func TestTailReaderTruncated(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS, SegmentSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{Sync: SyncOS, SegmentSize: 64})
 	defer w.Close()
 	for i := 0; i < 30; i++ {
 		if _, err := w.Append(2, payload(i)); err != nil {
@@ -153,10 +144,7 @@ func TestTailReaderTruncated(t *testing.T) {
 
 func TestTailReaderSealedCorruption(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS, SegmentSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{Sync: SyncOS, SegmentSize: 64})
 	for i := 0; i < 20; i++ {
 		if _, err := w.Append(2, payload(i)); err != nil {
 			t.Fatal(err)
@@ -198,10 +186,7 @@ func TestTailReaderSealedCorruption(t *testing.T) {
 func TestTailReaderConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	const total = 2000
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS, SegmentSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{Sync: SyncOS, SegmentSize: 4096})
 	done := make(chan error, 1)
 	go func() {
 		defer w.Close()

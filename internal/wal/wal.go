@@ -27,8 +27,9 @@
 // last valid record and Torn reports the cut. The same failure in any
 // earlier segment — or a gap between a segment's record count and the
 // next segment's first LSN — cannot be produced by a crash and is
-// reported as ErrCorrupt, a hard error. OpenWriter physically
-// truncates a torn tail before resuming appends.
+// reported as ErrCorrupt, a hard error. OpenWriter is built from the
+// Reader that replayed the log, and physically truncates the torn tail
+// that Reader found before resuming appends.
 package wal
 
 import (
@@ -234,11 +235,9 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 	return segs, nil
 }
 
-// RemoveSegments deletes every segment file in dir. The durable store
-// uses it when recovery finds a log whose tail predates the newest
-// checkpoint (possible under SyncOS): the checkpoint supersedes the
-// whole log, so the stale segments are discarded and a fresh one
-// starts at the checkpoint LSN.
+// RemoveSegments deletes every segment file in dir. OpenWriter uses it
+// before starting a fresh log, and the durable store to clear the
+// debris of an interrupted create.
 func RemoveSegments(dir string) error {
 	segs, err := ListSegments(dir)
 	if err != nil {

@@ -32,16 +32,36 @@ func readAll(t *testing.T, dir string, at uint64) ([]Record, *Reader) {
 	return out, r
 }
 
+// openWriter opens the log in dir for appending the way recovery does:
+// a Reader drains it and the writer resumes where the Reader stopped.
+func openWriter(tb testing.TB, dir string, start uint64, opts Options) *Writer {
+	tb.Helper()
+	r, err := OpenReader(dir, start)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer r.Close()
+	for {
+		if _, err := r.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	w, err := OpenWriter(r, start, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
 func payload(i int) []byte {
 	return []byte(fmt.Sprintf("record-%04d-%s", i, "xxxxxxxxxxxxxxxx"))
 }
 
 func TestRoundTripAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
 	const n = 100
 	for i := 0; i < n; i++ {
 		lsn, err := w.Append(byte(1+i%5), payload(i))
@@ -82,10 +102,7 @@ func TestRoundTripAcrossRotation(t *testing.T) {
 
 func TestReaderSeek(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
 	for i := 0; i < 50; i++ {
 		if _, err := w.Append(2, payload(i)); err != nil {
 			t.Fatal(err)
@@ -103,10 +120,7 @@ func TestReaderSeek(t *testing.T) {
 
 func TestResumeAppend(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{SegmentSize: 512, Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{SegmentSize: 512, Sync: SyncAlways})
 	for i := 0; i < 20; i++ {
 		if _, err := w.Append(1, payload(i)); err != nil {
 			t.Fatal(err)
@@ -115,10 +129,17 @@ func TestResumeAppend(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, err = OpenWriter(dir, 0, Options{SegmentSize: 512, Sync: SyncAlways})
+	// A writer resumes only where a reader stopped: one that has not
+	// read to io.EOF yet is refused.
+	r, err := OpenReader(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := OpenWriter(r, 0, Options{}); err == nil {
+		t.Fatal("OpenWriter accepted a reader that has not returned io.EOF")
+	}
+	r.Close()
+	w = openWriter(t, dir, 0, Options{SegmentSize: 512, Sync: SyncAlways})
 	if got := w.NextLSN(); got != 20 {
 		t.Fatalf("resumed NextLSN = %d, want 20", got)
 	}
@@ -153,10 +174,7 @@ func chop(t *testing.T, dir string, n int64) {
 
 func TestTornTailTruncatedOnRead(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{Sync: SyncOS})
 	for i := 0; i < 10; i++ {
 		if _, err := w.Append(1, payload(i)); err != nil {
 			t.Fatal(err)
@@ -175,10 +193,7 @@ func TestTornTailTruncatedOnRead(t *testing.T) {
 		t.Fatal("torn tail not reported")
 	}
 	// Reopening the writer truncates the tail and resumes at LSN 9.
-	w, err = OpenWriter(dir, 0, Options{Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w = openWriter(t, dir, 0, Options{Sync: SyncOS})
 	if got := w.NextLSN(); got != 9 {
 		t.Fatalf("NextLSN after torn tail = %d, want 9", got)
 	}
@@ -200,10 +215,7 @@ func TestTornTailTruncatedOnRead(t *testing.T) {
 
 func TestMidLogCorruptionIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
 	for i := 0; i < 50; i++ {
 		if _, err := w.Append(1, payload(i)); err != nil {
 			t.Fatal(err)
@@ -245,6 +257,9 @@ func TestMidLogCorruptionIsHardError(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("got %v, want ErrCorrupt", err)
 			}
+			if _, err := OpenWriter(r, 0, Options{}); err == nil {
+				t.Fatal("OpenWriter accepted a reader that stopped at corruption")
+			}
 			return
 		}
 	}
@@ -252,10 +267,7 @@ func TestMidLogCorruptionIsHardError(t *testing.T) {
 
 func TestMissingSegmentIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
 	for i := 0; i < 50; i++ {
 		if _, err := w.Append(1, payload(i)); err != nil {
 			t.Fatal(err)
@@ -295,10 +307,7 @@ func TestMissingSegmentIsHardError(t *testing.T) {
 
 func TestAppendBatchGroupsRecords(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{Sync: SyncAlways})
 	entries := make([]Entry, 100)
 	for i := range entries {
 		entries[i] = Entry{Type: 4, Payload: payload(i)}
@@ -325,10 +334,7 @@ func TestAppendBatchGroupsRecords(t *testing.T) {
 
 func TestRemoveBelow(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 0, Options{SegmentSize: 256, Sync: SyncOS})
 	for i := 0; i < 60; i++ {
 		if _, err := w.Append(1, payload(i)); err != nil {
 			t.Fatal(err)
@@ -365,10 +371,7 @@ func TestRemoveBelow(t *testing.T) {
 
 func TestOpenWriterStartsAtGivenLSN(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWriter(dir, 42, Options{Sync: SyncOS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, dir, 42, Options{Sync: SyncOS})
 	if got := w.NextLSN(); got != 42 {
 		t.Fatalf("NextLSN = %d, want 42", got)
 	}
@@ -387,5 +390,26 @@ func TestOpenWriterStartsAtGivenLSN(t *testing.T) {
 	}
 	if filepath.Base(segs[0].Path) != segmentName(42) {
 		t.Fatalf("segment name %s", segs[0].Path)
+	}
+
+	// A log whose records end below start is stale: its segments go
+	// and a fresh log starts at start.
+	w = openWriter(t, dir, 50, Options{Sync: SyncOS})
+	if got := w.NextLSN(); got != 50 {
+		t.Fatalf("NextLSN over a stale log = %d, want 50", got)
+	}
+	if _, err := w.Append(2, []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, r := readAll(t, dir, 0)
+	defer r.Close()
+	if len(recs) != 1 || recs[0].LSN != 50 || recs[0].Type != 2 {
+		t.Fatalf("log after a stale reopen: %+v", recs)
+	}
+	if segs, err := ListSegments(dir); err != nil || len(segs) != 1 || segs[0].FirstLSN != 50 {
+		t.Fatalf("segments after a stale reopen: %+v, %v", segs, err)
 	}
 }

@@ -1,9 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -53,53 +52,29 @@ type Writer struct {
 	flushDone chan struct{}
 }
 
-// OpenWriter opens the log in dir for appending, creating the
-// directory's first segment at LSN start if the log is empty. On an
-// existing log it scans the final segment, truncates any torn tail,
-// and resumes at the next LSN (start is ignored). Earlier segments are
-// trusted — recovery verifies them through the Reader before the
-// writer reopens the log.
-func OpenWriter(dir string, start uint64, opts Options) (*Writer, error) {
-	opts = opts.withDefaults()
-	segs, err := ListSegments(dir)
-	if err != nil {
-		return nil, err
+// OpenWriter opens the log that r has read for appending. r must have
+// returned io.EOF, so the writer resumes exactly where it stopped: it
+// cuts the torn tail r found and appends at r.End(). When the log is
+// empty, or its valid records end below start, the writer removes its
+// segments and starts a fresh log at start instead. That one rule
+// covers a new log, a log seeded from a checkpoint at start, and a
+// stale log that a newer checkpoint supersedes (possible under SyncOS),
+// so new records never reuse LSNs a later recovery would skip.
+func OpenWriter(r *Reader, start uint64, opts Options) (*Writer, error) {
+	if r.end != io.EOF {
+		return nil, errors.New("wal: OpenWriter needs a reader that has returned io.EOF")
 	}
-	w := &Writer{dir: dir, opts: opts}
-	if len(segs) == 0 {
+	opts = opts.withDefaults()
+	w := &Writer{dir: r.dir, opts: opts}
+	if len(r.segs) == 0 || r.End() < start {
+		if err := RemoveSegments(r.dir); err != nil {
+			return nil, err
+		}
 		if err := w.createSegment(start); err != nil {
 			return nil, err
 		}
-	} else {
-		last := segs[len(segs)-1]
-		count, validSize, err := scanSegment(last.Path)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(last.Path, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if validSize < last.Size {
-			// Torn tail: cut the file back to the last valid record so
-			// new appends start on a clean boundary.
-			if err := f.Truncate(validSize); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-		if _, err := f.Seek(validSize, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		w.f = f
-		w.segStart = last.FirstLSN
-		w.size = validSize
-		w.next.Store(last.FirstLSN + count)
+	} else if err := w.resume(r); err != nil {
+		return nil, err
 	}
 	if opts.Sync == SyncInterval {
 		w.flushStop = make(chan struct{})
@@ -109,42 +84,35 @@ func OpenWriter(dir string, start uint64, opts Options) (*Writer, error) {
 	return w, nil
 }
 
-// scanSegment walks one segment file and returns the number of valid
-// records and the byte offset where valid data ends. Invalid trailing
-// data is reported through a short validSize, never as an error: at
-// the writer's level every tail is presumed torn (the reader is the
-// component that distinguishes corruption during recovery).
-func scanSegment(path string) (count uint64, validSize int64, err error) {
-	f, err := os.Open(path)
+// resume reopens the segment r ended in for appending after its last
+// valid record.
+func (w *Writer) resume(r *Reader) error {
+	last := r.segs[r.seg]
+	f, err := os.OpenFile(last.Path, os.O_RDWR, 0o644)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	defer f.Close()
-	var hdr [headerSize]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return count, validSize, nil
+	if r.torn {
+		// Cut the file back to the last valid record so new appends
+		// start on a clean boundary.
+		if err := f.Truncate(r.off); err != nil {
+			f.Close()
+			return err
 		}
-		length := binary.LittleEndian.Uint32(hdr[1:5])
-		if length > MaxRecordSize {
-			return count, validSize, nil
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		p := payload[:length]
-		if _, err := io.ReadFull(f, p); err != nil {
-			return count, validSize, nil
-		}
-		crc := crc32.Update(0, castagnoli, hdr[:5])
-		crc = crc32.Update(crc, castagnoli, p)
-		if crc != binary.LittleEndian.Uint32(hdr[5:9]) {
-			return count, validSize, nil
-		}
-		count++
-		validSize += int64(headerSize) + int64(length)
 	}
+	if _, err := f.Seek(r.off, io.SeekStart); err != nil {
+		f.Close()
+		return err
+	}
+	w.f = f
+	w.segStart = last.FirstLSN
+	w.size = r.off
+	w.next.Store(r.next)
+	return nil
 }
 
 // createSegment opens a fresh segment whose first record will be lsn.
