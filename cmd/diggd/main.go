@@ -37,11 +37,16 @@
 // checkpoint, so a clean restart replays nothing. Inspect a data
 // directory with `diggstats -wal DIR`; see docs/persistence.md.
 //
-// With -shards N (N >= 2) stories are partitioned across N shard-local
-// stores (internal/shard): writes route by story id, batch writes
-// apply per-shard concurrently, and with -data-dir each shard keeps
-// its own write-ahead log under DIR/shard-NNNN/, so a batch costs one
-// overlapped fsync per shard instead of a serial one. Recovery opens
+// Every durable node is a shard.Store (internal/shard). With -shards N
+// (N >= 2) stories are partitioned across N shard-local stores: writes
+// route by story id, batch writes apply per-shard concurrently, and
+// with -data-dir each shard keeps its own write-ahead log under
+// DIR/shard-NNNN/, so a batch costs one overlapped fsync per shard
+// instead of a serial one. A one-shard store keeps its log at the root
+// of DIR. -shards only matters when a directory is created: on
+// recovery the layout on disk decides the shard count, and a damaged
+// layout (a gap in the shard directories, a root store beside them)
+// stops the boot rather than being created over. Recovery opens
 // every shard WAL and reconciles them; see docs/sharding.md.
 //
 // With -replica-of URL the node boots as a read-only follower
@@ -123,7 +128,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable mode: write-ahead log + checkpoints in this directory; boots by recovery when it already holds a store")
 	fsync := flag.String("fsync", "interval", "durable mode fsync policy: always, interval or os")
 	ckptEvery := flag.Duration("checkpoint-interval", time.Minute, "durable mode: minimum interval between automatic checkpoints")
-	shards := flag.Int("shards", 1, "partition stories across N shard-local stores; with -data-dir each shard keeps its own WAL (see docs/sharding.md)")
+	shards := flag.Int("shards", 1, "partition stories across N shard-local stores; with -data-dir each shard keeps its own WAL, and an existing directory keeps the shard count it was created with (see docs/sharding.md)")
 	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "retain and log traces of requests at least this slow (0 disables slow-trace capture)")
 	profileDir := flag.String("profile-dir", "", "continuously rotate CPU and heap profiles into this directory (see docs/observability.md)")
 	profilePeriod := flag.Duration("profile-period", 30*time.Second, "length of each continuous-profiling capture window")
@@ -182,35 +187,18 @@ func main() {
 	// Establish the store: recover an existing data directory, or
 	// generate the corpus (and, with -data-dir, seed a new directory
 	// around it). Everything downstream compiles against digg.Store,
-	// so durability is only this constructor choice.
+	// so durability is only this constructor choice. Every durable
+	// node — created, recovered or follower — is a shard.Store; the
+	// layout on disk decides its shard count, -shards only matters at
+	// creation.
 	var (
 		store   digg.Store
-		dstore  *durable.Store
-		sdstore *shard.Store // sharded store with its own WALs (durable only)
+		dstore  *shard.Store // the durable store, nil without -data-dir
 		rankOf  func(digg.UserID) int
 		startAt digg.Minutes
-		stories int
-		// persist is whichever durable store (plain or sharded) needs a
-		// final checkpoint at shutdown.
-		persist interface {
-			Checkpoint() error
-			Close() error
-			Generation() uint64
-		}
-		// follower/replNode are set when booting with -replica-of.
+		// follower is set when booting with -replica-of.
 		follower *repl.Follower
-		replNode *repl.Node
 	)
-	// A data directory is either unsharded (WAL at its root) or sharded
-	// (shard-0000/ ... subdirectories); the layout on disk wins over
-	// the -shards flag on recovery, and mixing them is refused rather
-	// than guessed at.
-	if *dataDir != "" && *shards > 1 && durable.Exists(*dataDir) {
-		fatal(fmt.Errorf("%s holds an unsharded store; recover it without -shards or start a fresh directory", *dataDir))
-	}
-	if *dataDir != "" && *shards == 1 && shard.Exists(*dataDir) {
-		fatal(fmt.Errorf("%s holds a sharded store; recover it with -shards (any value >= 2) or start a fresh directory", *dataDir))
-	}
 	if *replicaOf != "" {
 		// Follower boot: seed (or resume) the local directory from the
 		// primary's checkpoint, open it exactly as a restarting primary
@@ -222,33 +210,19 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		replNode = node
+		dstore = node.Sharded
 		follower = repl.NewFollower(node.Target, tr, repl.Options{
 			StateDir: *dataDir,
 			Primary:  *replicaOf,
 		})
-		store = node.Store()
-		var genesis []byte
-		if node.Sharded != nil {
-			genesis, persist = node.Sharded.Genesis(), node.Sharded
-		} else {
-			genesis, persist = node.Durable.Genesis(), node.Durable
-		}
-		var gi genesisInfo
-		if err := json.Unmarshal(genesis, &gi); err == nil && gi.Config.Users > 0 {
-			cfg = gi.Config
-		}
-		startAt = latestActivity(store, cfg.SnapshotAt)
-		stories = store.NumStories()
 		logger.Info("bootstrapped follower",
-			"primary", *replicaOf, "dir", *dataDir, "shards", node.Shards, "stories", stories)
-	} else if *dataDir != "" && *shards > 1 && shard.Exists(*dataDir) {
-		sstore, err := shard.Open(*dataDir, dopts)
+			"primary", *replicaOf, "dir", *dataDir, "shards", node.Shards, "stories", dstore.NumStories())
+	} else if *dataDir != "" && shard.Exists(*dataDir) {
+		dstore, err = shard.Open(*dataDir, dopts)
 		if err != nil {
 			fatal(err)
 		}
-		sdstore = sstore
-		rec := sstore.Recovery()
+		rec := dstore.Recovery()
 		var replayed, rejected uint64
 		torn := 0
 		for _, r := range rec.Shards {
@@ -258,43 +232,15 @@ func main() {
 				torn++
 			}
 		}
-		var gi genesisInfo
-		if err := json.Unmarshal(sstore.Genesis(), &gi); err == nil && gi.Config.Users > 0 {
-			cfg = gi.Config
-		}
-		store, persist = sstore, sstore
-		startAt = latestActivity(sstore, cfg.SnapshotAt)
-		stories = sstore.NumStories()
-		logger.Info("recovered sharded store",
+		logger.Info("recovered durable store",
 			"dir", *dataDir,
-			"shards", sstore.ShardCount(),
-			"stories", stories,
+			"shards", dstore.ShardCount(),
+			"stories", dstore.NumStories(),
 			"generation", rec.Generation,
 			"replayed", replayed,
 			"rejected", rejected,
 			"trimmed", rec.Trimmed,
 			"torn_shards", torn)
-	} else if *dataDir != "" && durable.Exists(*dataDir) {
-		dstore, err = durable.Open(*dataDir, dopts)
-		if err != nil {
-			fatal(err)
-		}
-		rec := dstore.Recovery()
-		var gi genesisInfo
-		if err := json.Unmarshal(dstore.Genesis(), &gi); err == nil && gi.Config.Users > 0 {
-			cfg = gi.Config
-		}
-		store, persist = dstore, dstore
-		startAt = latestActivity(dstore, cfg.SnapshotAt)
-		stories = dstore.NumStories()
-		logger.Info("recovered durable store",
-			"dir", *dataDir,
-			"stories", stories,
-			"generation", rec.Generation,
-			"checkpoint_lsn", rec.CheckpointLSN,
-			"replayed", rec.Replayed,
-			"rejected", rec.Rejected,
-			"torn_tail", rec.TailTruncated)
 	} else {
 		logger.Info("generating corpus", "users", cfg.Users, "submissions", cfg.Submissions)
 		ds, err := dataset.Generate(cfg)
@@ -303,7 +249,6 @@ func main() {
 		}
 		store = ds.Platform
 		startAt = cfg.SnapshotAt
-		stories = len(ds.Stories)
 		rankOf = ds.RankOf
 		if *dataDir != "" {
 			genesis, err := json.Marshal(genesisInfo{
@@ -312,24 +257,13 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if *shards > 1 {
-				sstore, err := shard.Create(*dataDir, ds.Platform, *shards, genesis, dopts)
-				if err != nil {
-					fatal(err)
-				}
-				sdstore = sstore
-				store, persist = sstore, sstore
-				logger.Info("created sharded durable store",
-					"dir", *dataDir, "shards", *shards, "fsync", syncPolicy.String(), "checkpoint_every", *ckptEvery)
-			} else {
-				dstore, err = durable.Create(*dataDir, ds.Platform, genesis, dopts)
-				if err != nil {
-					fatal(err)
-				}
-				store, persist = dstore, dstore
-				logger.Info("created durable store",
-					"dir", *dataDir, "fsync", syncPolicy.String(), "checkpoint_every", *ckptEvery)
+			dstore, err = shard.Create(*dataDir, ds.Platform, *shards, genesis, dopts)
+			if err != nil {
+				fatal(err)
 			}
+			store = dstore
+			logger.Info("created durable store",
+				"dir", *dataDir, "shards", *shards, "fsync", syncPolicy.String(), "checkpoint_every", *ckptEvery)
 		} else if *shards > 1 {
 			sstore, err := shard.FromPlatform(ds.Platform, *shards)
 			if err != nil {
@@ -339,6 +273,17 @@ func main() {
 			logger.Info("sharded in-memory store", "shards", *shards)
 		}
 	}
+	if store == nil {
+		// A recovered or follower store resumes its clock from its own
+		// latest activity, with the calibration it was created with.
+		var gi genesisInfo
+		if err := json.Unmarshal(dstore.Genesis(), &gi); err == nil && gi.Config.Users > 0 {
+			cfg = gi.Config
+		}
+		store = dstore
+		startAt = latestActivity(dstore, cfg.SnapshotAt)
+	}
+	stories := store.NumStories()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -401,41 +346,23 @@ func main() {
 	go timeline.Run(ctx)
 	srv.AttachTimeline(timeline, httpapi.DefaultSLOs()...)
 
-	// Durable nodes stamp the accepting request's trace ID next to each
-	// commit, so a follower heartbeat can name the write whose
-	// visibility it just confirmed (end-to-end freshness tracing).
-	switch {
-	case dstore != nil:
-		srv.SetWriteTraceFunc(dstore.SetWriteTrace)
-	case sdstore != nil:
-		srv.SetWriteTraceFunc(func(id uint64) {
-			for i := 0; i < sdstore.ShardCount(); i++ {
-				sdstore.DurableShard(i).SetWriteTrace(id)
-			}
-		})
-	}
-
 	if follower != nil {
 		srv.AttachRepl(follower, *readyMaxLag)
 	}
 	// Any node with its own write-ahead log serves the replication
 	// surface under /repl/v1/: a primary streams to followers, a
-	// follower answers the status/promote calls elections make.
+	// follower answers the status/promote calls elections make. Durable
+	// nodes also stamp the accepting request's trace ID next to each
+	// commit, so a follower heartbeat can name the write whose
+	// visibility it just confirmed (end-to-end freshness tracing).
 	var replSrc *repl.Source
-	var srcShards []repl.SourceShard
-	switch {
-	case replNode != nil:
-		srcShards = replNode.SourceShards()
-	case dstore != nil:
-		srcShards = []repl.SourceShard{{Dir: dstore.Dir(), Head: dstore.AppliedLSN, LastCommit: dstore.LastCommit}}
-	case sdstore != nil:
-		for i := 0; i < sdstore.ShardCount(); i++ {
-			ds := sdstore.DurableShard(i)
-			srcShards = append(srcShards, repl.SourceShard{Dir: ds.Dir(), Head: ds.AppliedLSN, LastCommit: ds.LastCommit})
-		}
-	}
-	if len(srcShards) > 0 {
-		replSrc = &repl.Source{Shards: srcShards}
+	if dstore != nil {
+		srv.SetWriteTraceFunc(func(id uint64) {
+			for i := 0; i < dstore.ShardCount(); i++ {
+				dstore.DurableShard(i).SetWriteTrace(id)
+			}
+		})
+		replSrc = &repl.Source{Shards: repl.SourceShardsOf(dstore)}
 		if follower != nil {
 			replSrc.Role = func() string {
 				if follower.ReadOnly() {
@@ -446,7 +373,7 @@ func main() {
 			replSrc.Promote = follower.Promote
 		}
 		srv.MountRepl(replSrc)
-		logger.Info("replication surface mounted", "shards", len(srcShards), "path", "/repl/v1/")
+		logger.Info("replication surface mounted", "shards", dstore.ShardCount(), "path", "/repl/v1/")
 	}
 
 	metrics := httpapi.NewMetrics()
@@ -540,18 +467,17 @@ func main() {
 				"stories", len(out.Stories), "promoted", len(out.FrontPage), "dir", *exportDir)
 		}
 	}
-	if persist != nil {
+	if dstore != nil {
 		// Final checkpoint + WAL sync: the HTTP server has drained and
 		// the live stepper has stopped, so no writer remains and the
-		// next boot replays zero records (sharded stores checkpoint
-		// every shard).
-		if err := persist.Checkpoint(); err != nil {
+		// next boot replays zero records (every shard checkpoints).
+		if err := dstore.Checkpoint(); err != nil {
 			fatal(err)
 		}
-		if err := persist.Close(); err != nil {
+		if err := dstore.Close(); err != nil {
 			fatal(err)
 		}
-		logger.Info("final checkpoint", "generation", persist.Generation(), "dir", *dataDir)
+		logger.Info("final checkpoint", "generation", dstore.Generation(), "dir", *dataDir)
 	}
 	logger.Info("shut down cleanly")
 }

@@ -7,9 +7,10 @@
 // (written with `diggd -data-dir`): WAL segments and record counts,
 // the newest checkpoint's generation, the replay span a recovery would
 // process, and the genesis provenance — the operator's view of what a
-// restart will do, without touching the directory. A sharded directory
-// (diggd -shards N: shard-0000/ ... subdirectories) gets one report
-// per shard; the exit status is 1 if any shard is corrupt. When the
+// restart will do, without touching the directory. Every shard gets
+// its own report (diggd -shards N keeps shard-0000/ ... subdirectories;
+// a one-shard store keeps its shard at the root); the exit status is 1
+// if any shard is corrupt. When the
 // directory belongs to a replication follower (diggd -replica-of; see
 // docs/replication.md), the report adds the recorded position per
 // shard — applied vs shipped LSN and last-contact age — and -max-lag
@@ -151,46 +152,34 @@ func main() {
 	}
 }
 
-// inspectWAL reports on a diggd data directory — unsharded (WAL at
-// the root) or sharded (shard-NNNN/ subdirectories, each inspected in
-// turn), plus any recorded replication position. Exits 1 if any shard
-// is corrupt, missing its checkpoint, or (with -max-lag) the follower
-// is beyond the lag bound.
+// inspectWAL reports on a diggd data directory, one report per shard
+// (a one-shard store's shard is the directory itself, shard-NNNN/
+// subdirectories otherwise), plus any recorded replication position.
+// Exits 1 if any shard is corrupt, missing its checkpoint, or (with
+// -max-lag) the follower is beyond the lag bound.
 func inspectWAL(dir string, maxLag time.Duration) {
-	bad := false
-	if shard.Exists(dir) {
-		dirs, err := shard.ShardDirs(dir)
+	dirs, err := shard.ShardDirs(dir)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("data directory: %d shards\n", len(dirs))
+	unhealthy := 0
+	for i, sd := range dirs {
+		fmt.Printf("\n--- shard %d (%s) ---\n", i, sd)
+		info, err := durable.Inspect(sd)
 		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("sharded data directory: %d shards\n", len(dirs))
-		unhealthy := 0
-		for i, sd := range dirs {
-			fmt.Printf("\n--- shard %d (%s) ---\n", i, sd)
-			info, err := durable.Inspect(sd)
-			if err != nil {
-				fmt.Println("inspect failed:", err)
-				unhealthy++
-				continue
-			}
-			fmt.Print(info.String())
-			if info.Corrupt != nil || info.Checkpoint == nil {
-				unhealthy++
-			}
-		}
-		if unhealthy > 0 {
-			fmt.Printf("\n%d of %d shards unhealthy\n", unhealthy, len(dirs))
-			bad = true
-		}
-	} else {
-		info, err := durable.Inspect(dir)
-		if err != nil {
-			fatal(err)
+			fmt.Println("inspect failed:", err)
+			unhealthy++
+			continue
 		}
 		fmt.Print(info.String())
 		if info.Corrupt != nil || info.Checkpoint == nil {
-			bad = true
+			unhealthy++
 		}
+	}
+	bad := unhealthy > 0
+	if bad {
+		fmt.Printf("\n%d of %d shards unhealthy\n", unhealthy, len(dirs))
 	}
 	if reportRepl(dir, maxLag) {
 		bad = true

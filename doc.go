@@ -93,21 +93,30 @@
 // story ID modulo N over interleaved dense ID sequences, so the
 // merged story sequence is bit-identical to a single platform's —
 // each shard optionally wrapped in its own durable.Store with a
-// private WAL directory (data-dir/shard-0000, ...). Batch writes
+// private WAL directory (data-dir/shard-0000, ...). Every durable
+// node is a shard.Store: without -shards, diggd -data-dir keeps its
+// one shard at the root of the data directory, and on recovery the
+// layout on disk decides the shard count. Batch writes
 // split into per-shard sub-batches applied concurrently, one WAL
 // append and one overlapped fsync per shard per burst, so vote
 // throughput scales with cores (BenchmarkShardedBatchDigg; first
 // data point in BENCH_shard.json via cmd/benchjson); reads
 // scatter-gather through merged story and promotion views that
-// preserve single-platform ordering. The composite generation is the
+// preserve single-platform ordering; every write, recovery and
+// replicated apply grows those views through one fold, which keeps
+// each shard's own promotion order and merges shards by promotion
+// time, so a one-shard follower serves its primary's exact front page
+// and a restarted follower serves what a restarted primary serves.
+// The composite generation is the
 // sum of the per-shard generations — strictly monotonic, so ETags
 // and snapshot republishing are unchanged — and v1 cursors carry the
 // per-shard generation vector, keeping the no-duplicate/no-skip
 // pagination guarantee and refusing cursors minted under a different
-// shard layout. Crash recovery opens every shard independently and
+// shard layout. Crash recovery opens every shard independently,
 // trims unacknowledged stories past the first hole in the merged ID
 // sequence (a burst acks only after every shard's fsync), so a torn
-// tail in one shard's WAL cannot leave phantom stories. GET /metrics
+// tail in one shard's WAL cannot leave phantom stories, and then
+// folds the shards into the merged views. GET /metrics
 // exposes per-shard write/replay/generation counters in Prometheus
 // text format, and diggstats -wal reports shard-by-shard health. See
 // docs/sharding.md.
@@ -137,7 +146,8 @@
 // fsyncs — over HTTP chunked responses under /repl/v1/, resumable
 // from any retained LSN. A follower (diggd -replica-of URL)
 // bootstraps from the primary's newest checkpoint, replays and tails
-// the log into its own durable store, and serves the entire read
+// the log into its own shard.Store (shard.OpenFollower, whatever the
+// primary's shard count), and serves the entire read
 // surface through the same lock-free snapshot path at primary speed
 // (BenchmarkServedReadsFollower; BENCH_repl.json), while writes
 // answer 503 read_only_replica and every response carries

@@ -344,7 +344,8 @@ func Open(dir string, opts Options) (*Store, error) {
 // writer where replay stopped. The writer cuts a torn tail, and starts
 // a fresh log at lsn when the log is empty or ends below lsn (a new
 // store, a seeded replica, or a stale log under SyncOS): see
-// wal.OpenWriter.
+// wal.OpenWriter. A log whose first retained segment starts past lsn
+// has lost the records between them and is corrupt.
 func openLog(dir string, p *digg.Platform, lsn uint64, opts Options) (*wal.Writer, RecoveryInfo, error) {
 	rec := RecoveryInfo{CheckpointLSN: lsn}
 	r, err := wal.OpenReader(dir, lsn)
@@ -352,12 +353,28 @@ func openLog(dir string, p *digg.Platform, lsn uint64, opts Options) (*wal.Write
 		return nil, rec, err
 	}
 	defer r.Close()
+	// A fresh reader stands at lsn, at the log's end below it, or at
+	// the first retained record when that lies past lsn.
+	if err := checkLogStart(r.End(), lsn); err != nil {
+		return nil, rec, err
+	}
 	if err := replay(r, p, &rec); err != nil {
 		return nil, rec, err
 	}
 	_, _, rec.TailTruncated = r.Torn()
 	w, err := wal.OpenWriter(r, lsn, opts.walOptions())
 	return w, rec, err
+}
+
+// checkLogStart refuses, as wal.ErrCorrupt, a log whose records start
+// at first, past lsn, the first record recovery must replay: the
+// records between them are gone. A log that ends below lsn starts
+// below it too; wal.OpenWriter replaces such a stale log.
+func checkLogStart(first, lsn uint64) error {
+	if first > lsn {
+		return fmt.Errorf("durable: %w: log starts at lsn %d, past checkpoint lsn %d", wal.ErrCorrupt, first, lsn)
+	}
+	return nil
 }
 
 // replay applies every record r returns onto p, until io.EOF.

@@ -293,6 +293,54 @@ func TestMidLogCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
+// TestLostLeadingSegmentFailsOpen deletes the first segment of a log
+// that recovery must replay from its checkpoint: the records between
+// the checkpoint and the first retained segment are gone, so Open and
+// Inspect must report corruption instead of replaying around the hole.
+func TestLostLeadingSegmentFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, newTestPlatform(t), nil, Options{
+		Policy: testPolicy(), Sync: wal.SyncAlways, CheckpointEvery: -1, SegmentSize: 2048,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, s, 43, 300)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := wal.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 || segs[0].FirstLSN != 1 {
+		t.Fatalf("want several segments from Create's checkpoint at lsn 1, got %+v", segs)
+	}
+	if err := os.Remove(segs[0].Path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{Policy: testPolicy()}); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+	info, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(info.Corrupt, wal.ErrCorrupt) {
+		t.Fatalf("Inspect corrupt = %v, want ErrCorrupt", info.Corrupt)
+	}
+	// A reader asked for the whole log still starts at the oldest
+	// retained segment: the hole is recovery's to judge.
+	r, err := wal.OpenReader(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if rec, err := r.Next(); err != nil || rec.LSN != segs[1].FirstLSN {
+		t.Fatalf("first record = %+v, %v; want lsn %d", rec, err, segs[1].FirstLSN)
+	}
+}
+
 func TestCheckpointPrunesLog(t *testing.T) {
 	dir := t.TempDir()
 	p := newTestPlatform(t)

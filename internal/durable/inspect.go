@@ -122,6 +122,10 @@ func Inspect(dir string) (*Info, error) {
 		}
 		info.EndLSN = r.End()
 		_, _, info.Torn = r.Torn()
+		if ck := info.Checkpoint; ck != nil && info.Corrupt == nil {
+			// The gap Open refuses.
+			info.Corrupt = checkLogStart(info.FirstLSN, ck.LSN)
+		}
 	}
 	return info, nil
 }

@@ -161,7 +161,7 @@ func (s *Server) AttachLive(svc *live.Service) {
 func (s *Server) AttachMetrics(m *Metrics) { s.metrics = m }
 
 // SetWriteTraceFunc registers the durable layer's write-trace hook
-// (durable.Store.SetWriteTrace, or a fan-out over shards): write
+// (durable.Store.SetWriteTrace fanned out over the shards): write
 // handlers call it with the request's trace ID before mutating the
 // store, under the write lock. Call before Handler.
 func (s *Server) SetWriteTraceFunc(fn func(uint64)) { s.writeTrace = fn }

@@ -6,17 +6,21 @@ package repl
 //  1. Ask the primary's /status for its shard count.
 //  2. For each shard with no local store, fetch the primary's graph
 //     and newest checkpoint and seed a normal durable data directory
-//     from them (durable.SeedReplica).
-//  3. Open the store exactly as a restarting primary would —
-//     durable.Open or shard.OpenFollower — so a follower restart and a
-//     fresh bootstrap are the same code path.
+//     from them (durable.SeedReplica) — the root of dir for a
+//     one-shard primary, shard-NNNN/ below it otherwise.
+//  3. Open the store with shard.OpenFollower, whatever the shard
+//     count, so a follower restart and a fresh bootstrap are the same
+//     code path, and the follower folds promotions into its merged
+//     order by the rule every shard.Store uses.
 //
 // A directory that already holds a store is simply reopened (the
 // stream resumes from its applied LSN) — unless some shard's log is
 // AHEAD of the primary's, which means this node's history diverged
 // (e.g. a demoted primary with unreplicated tail records rejoining).
 // Divergence wipes the directory and re-seeds from scratch; the
-// primary is the only truth.
+// primary is the only truth. A directory whose layout differs from the
+// primary's (a root store against N >= 2 shards, shard directories
+// against one) is refused untouched.
 
 import (
 	"bytes"
@@ -31,12 +35,9 @@ import (
 	"diggsim/internal/wal"
 )
 
-// Node is a bootstrapped follower store: exactly one of Durable or
-// Sharded is set.
+// Node is a bootstrapped follower store.
 type Node struct {
-	// Durable is the store when the primary is unsharded.
-	Durable *durable.Store
-	// Sharded is the store when the primary runs N shards.
+	// Sharded is the store, with as many shards as the primary.
 	Sharded *shard.Store
 	// Target is the store's replication-apply adapter.
 	Target Target
@@ -45,42 +46,26 @@ type Node struct {
 }
 
 // Store returns the node's read/serve surface.
-func (n *Node) Store() digg.Store {
-	if n.Sharded != nil {
-		return n.Sharded
-	}
-	return n.Durable
-}
+func (n *Node) Store() digg.Store { return n.Sharded }
 
 // Close closes the underlying store.
-func (n *Node) Close() error {
-	if n.Sharded != nil {
-		return n.Sharded.Close()
-	}
-	return n.Durable.Close()
-}
+func (n *Node) Close() error { return n.Sharded.Close() }
 
 // Checkpoint checkpoints the underlying store.
-func (n *Node) Checkpoint() error {
-	if n.Sharded != nil {
-		return n.Sharded.Checkpoint()
-	}
-	return n.Durable.Checkpoint()
-}
+func (n *Node) Checkpoint() error { return n.Sharded.Checkpoint() }
 
 // SourceShards returns the node's own streaming surface, so a
 // follower can itself serve the replication endpoints (election reads
 // status from them; a promoted follower starts streaming to the
 // others without a restart).
-func (n *Node) SourceShards() []SourceShard {
-	out := make([]SourceShard, n.Shards)
-	for i := 0; i < n.Shards; i++ {
-		var ds *durable.Store
-		if n.Sharded != nil {
-			ds = n.Sharded.DurableShard(i)
-		} else {
-			ds = n.Durable
-		}
+func (n *Node) SourceShards() []SourceShard { return SourceShardsOf(n.Sharded) }
+
+// SourceShardsOf returns the streaming surface of a durable store: one
+// SourceShard per shard, over the shard's WAL directory and head.
+func SourceShardsOf(s *shard.Store) []SourceShard {
+	out := make([]SourceShard, s.ShardCount())
+	for i := range out {
+		ds := s.DurableShard(i)
 		out[i] = SourceShard{Dir: ds.Dir(), Head: ds.AppliedLSN, LastCommit: ds.LastCommit}
 	}
 	return out
@@ -185,20 +170,21 @@ func readLocalRecord(dir string, lsn uint64) (wal.Entry, bool) {
 }
 
 func openOrSeed(ctx context.Context, tr Transport, dir string, st Status, opts durable.Options) (*Node, error) {
-	if st.Shards == 1 {
-		if !durable.Exists(dir) {
-			if err := seedShard(ctx, tr, 0, dir); err != nil {
-				return nil, err
-			}
-		}
-		ds, err := durable.Open(dir, opts)
+	// A local store of another layout is refused before anything is
+	// seeded beside it: seeding cannot turn a root store into shard
+	// directories or back. A prefix of the primary's shard directories
+	// (a bootstrap cut short) is completed.
+	if shard.Exists(dir) {
+		dirs, err := shard.ShardDirs(dir)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("repl: %w", err)
 		}
-		return &Node{Durable: ds, Target: NewDurableTarget(ds), Shards: 1}, nil
+		if root := dirs[0] == dir; root != (st.Shards == 1) || len(dirs) > st.Shards {
+			return nil, fmt.Errorf("repl: %s holds a %d-shard store, the primary has %d shards", dir, len(dirs), st.Shards)
+		}
 	}
 	for i := 0; i < st.Shards; i++ {
-		sd := shard.ShardDirPath(dir, i)
+		sd := shard.ShardDirPath(dir, i, st.Shards)
 		if durable.Exists(sd) {
 			continue
 		}
@@ -210,7 +196,7 @@ func openOrSeed(ctx context.Context, tr Transport, dir string, st Status, opts d
 	if err != nil {
 		return nil, err
 	}
-	return &Node{Sharded: ss, Target: NewShardTarget(ss), Shards: st.Shards}, nil
+	return &Node{Sharded: ss, Target: NewShardTarget(ss), Shards: ss.ShardCount()}, nil
 }
 
 // seedShard fetches one shard's graph and checkpoint blobs and seeds

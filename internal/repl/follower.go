@@ -30,15 +30,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"diggsim/internal/durable"
 	"diggsim/internal/obs"
 	"diggsim/internal/shard"
 	"diggsim/internal/wal"
 )
 
 // Target is the store surface a follower applies a replication stream
-// into. Both durable.Store (one shard) and shard.Store (N shards)
-// adapt to it.
+// into. A shard.Store with any shard count adapts to it
+// (NewShardTarget).
 type Target interface {
 	// ShardCount is the number of independent WAL streams.
 	ShardCount() int
@@ -57,21 +56,7 @@ type Target interface {
 	Promote() error
 }
 
-// NewDurableTarget adapts an unsharded durable store.
-func NewDurableTarget(s *durable.Store) Target { return durableTarget{s} }
-
-type durableTarget struct{ s *durable.Store }
-
-func (t durableTarget) ShardCount() int       { return 1 }
-func (t durableTarget) AppliedLSN(int) uint64 { return t.s.AppliedLSN() }
-func (t durableTarget) Absorb()               {}
-func (t durableTarget) Promote() error        { return nil }
-func (t durableTarget) ApplyReplicated(_ int, lsn uint64, entries []wal.Entry) error {
-	return t.s.ApplyReplicated(lsn, entries)
-}
-
-// NewShardTarget adapts a sharded store (opened with
-// shard.OpenFollower).
+// NewShardTarget adapts a store opened with shard.OpenFollower.
 func NewShardTarget(s *shard.Store) Target { return shardTarget{s} }
 
 type shardTarget struct{ s *shard.Store }

@@ -112,8 +112,9 @@ func compareStores(t testing.TB, want, got digg.Store) {
 
 // compareStoresSharded asserts equality for sharded replication, where
 // per-shard streams progress independently: promotion CONTENT must
-// match but cross-shard promotion ties may release in (PromotedAt, ID)
-// order rather than live order — the same latitude crash recovery has.
+// match, but the follower orders promotions by the rule recovery uses
+// (each shard's own order, merged across shards by (PromotedAt, ID)),
+// which a running sharded primary's cross-shard order need not match.
 func compareStoresSharded(t testing.TB, want, got digg.Store) {
 	t.Helper()
 	compareStoresBase(t, want, got)
@@ -390,6 +391,150 @@ func TestFollowerReplicatesSharded(t *testing.T) {
 	defer f2.Stop()
 	waitCaughtUp(t, f2, pr.heads())
 	underRLock(f2, func() { compareStoresSharded(t, pr.store(), node2.Store()) })
+}
+
+// TestFollowerOrdersPromotionsLikeRestartedPrimary has one shard of a
+// 2-shard primary promote two stories out of time order in one burst.
+// The caught-up follower must then serve the order the primary serves
+// after a restart: each shard's own order, not a sort by time. A
+// second burst promotes on both shards; how a live follower
+// interleaves those depends on when each stream lands, so only the
+// follower restarted from its own directory is held to the restarted
+// primary's whole order.
+func TestFollowerOrdersPromotionsLikeRestartedPrimary(t *testing.T) {
+	pr := startPrimary(t, 2)
+	fdir := t.TempDir()
+	node, f := startFollower(t, pr.transport(), fdir)
+
+	// Two fresh stories on shard 0 (even IDs).
+	var ids []digg.StoryID
+	for len(ids) < 2 {
+		st, err := pr.sharded.Submit(digg.UserID(300+len(ids)), "order", 0.5, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ID%2 == 0 {
+			ids = append(ids, st.ID)
+		}
+	}
+	// The first story promotes first, at minute 2003; the second
+	// promotes after it in the same burst, at minute 1503.
+	var ops []digg.DiggOp
+	for k, at := range []digg.Minutes{2000, 1500} {
+		for v := 0; v < 6; v++ {
+			ops = append(ops, digg.DiggOp{Story: ids[k], User: digg.UserID(10*k + v), At: at + digg.Minutes(v)})
+		}
+	}
+	out := make([]digg.DiggOutcome, len(ops))
+	if err := pr.sharded.DiggMany(ops, out); err != nil {
+		t.Fatal(err)
+	}
+	first, second := mustStory(t, pr.store(), ids[0]), mustStory(t, pr.store(), ids[1])
+	if !first.Promoted || !second.Promoted || second.PromotedAt >= first.PromotedAt {
+		t.Fatalf("test setup: promotions %v@%d then %v@%d", first.Promoted, first.PromotedAt, second.Promoted, second.PromotedAt)
+	}
+	waitCaughtUp(t, f, pr.heads())
+	var got []digg.StoryID
+	underRLock(f, func() { got = append(got, node.Store().PromotedIDs()...) })
+
+	// Second burst: a story on each shard, the second promoting at an
+	// earlier minute than the first, both after the first burst's.
+	base := digg.StoryID(pr.store().NumStories())
+	for k := 0; k < 2; k++ {
+		if _, err := pr.sharded.Submit(digg.UserID(310+k), "order", 0.5, 2900); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops = ops[:0]
+	for k, at := range []digg.Minutes{3100, 3000} {
+		for v := 0; v < 6; v++ {
+			ops = append(ops, digg.DiggOp{Story: base + digg.StoryID(k), User: digg.UserID(20 + 10*k + v), At: at + digg.Minutes(v)})
+		}
+	}
+	out = make([]digg.DiggOutcome, len(ops))
+	if err := pr.sharded.DiggMany(ops, out); err != nil {
+		t.Fatal(err)
+	}
+	for k := digg.StoryID(0); k < 2; k++ {
+		if !mustStory(t, pr.store(), base+k).Promoted {
+			t.Fatalf("test setup: story %d did not promote", base+k)
+		}
+	}
+	waitCaughtUp(t, f, pr.heads())
+	f.Stop()
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	pr.stopServe()
+	if err := pr.sharded.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if pr.sharded, err = shard.Open(pr.dir, testOpts()); err != nil {
+		t.Fatal(err)
+	}
+	want := pr.sharded.PromotedIDs()
+	if len(want) != len(got)+2 || !reflect.DeepEqual(got, want[:len(got)]) {
+		t.Fatalf("follower promotion order after the first burst %v, restarted primary %v", got, want)
+	}
+	restarted, err := shard.OpenFollower(fdir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if !reflect.DeepEqual(restarted.PromotedIDs(), want) {
+		t.Fatalf("restarted follower promotion order %v, restarted primary %v", restarted.PromotedIDs(), want)
+	}
+}
+
+// TestBootstrapRefusesOtherLayout points a follower directory that
+// holds one layout at a primary of the other: a root store at a
+// 2-shard primary, shard directories at a one-shard primary. Seeding
+// cannot reconcile them, so Bootstrap must refuse before it writes
+// anything.
+func TestBootstrapRefusesOtherLayout(t *testing.T) {
+	one, two := startPrimary(t, 1), startPrimary(t, 2)
+	for _, c := range []struct {
+		name        string
+		local, next *testPrimary
+	}{
+		{"root store, 2-shard primary", one, two},
+		{"2 shards, one-shard primary", two, one},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			node, err := Bootstrap(context.Background(), c.local.transport(), dir, testOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirEntries(t, dir)
+			if node, err := Bootstrap(context.Background(), c.next.transport(), dir, testOpts()); err == nil {
+				node.Close()
+				t.Fatal("Bootstrap accepted a local store of another layout")
+			}
+			if after := dirEntries(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused Bootstrap changed the directory: %v, was %v", after, before)
+			}
+		})
+	}
+}
+
+// dirEntries lists the names directly under dir.
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(ents))
+	for i, e := range ents {
+		out[i] = e.Name()
+	}
+	return out
 }
 
 // rebindTransport lets a test swap the upstream URL, simulating a

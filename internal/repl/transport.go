@@ -24,7 +24,7 @@ import (
 type Status struct {
 	// Role is "primary" or "follower".
 	Role string `json:"role"`
-	// Shards is the store's shard count (1 for an unsharded store).
+	// Shards is the store's shard count.
 	Shards int `json:"shards"`
 	// Applied holds each shard's applied LSN — the stream head.
 	Applied []uint64 `json:"applied_lsns"`

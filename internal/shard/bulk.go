@@ -8,7 +8,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -52,25 +51,19 @@ func (s *Store) EndBatch() error {
 	return nil
 }
 
-// promo is a promotion observed while applying a bulk burst.
-type promo struct {
-	id digg.StoryID
-	at digg.Minutes
-}
-
 // DiggMany applies a burst of votes, split into per-shard sub-batches
 // applied concurrently: each shard's goroutine brackets its sub-batch
 // in the shard's own WAL batch, so the burst costs one WAL append and
 // one fsync per shard, all overlapped. Outcomes land at the index of
-// their op. Promotions triggered anywhere in the burst are appended
-// to the merged promotion order in (PromotedAt, ID) order, which is
-// deterministic and matches what recovery's k-way merge rebuilds.
+// their op. Promotions triggered anywhere in the burst enter the
+// merged promotion order through the fold, which keeps each shard's
+// apply order and merges the shards by (PromotedAt, ID): deterministic
+// whatever the goroutine schedule, and the rule recovery uses.
 func (s *Store) DiggMany(ops []digg.DiggOp, out []digg.DiggOutcome) error {
 	if len(out) != len(ops) {
 		panic(fmt.Sprintf("shard: DiggMany out len %d, ops len %d", len(out), len(ops)))
 	}
 	perShard := s.partitionDiggs(ops, out)
-	promos := make([][]promo, s.n)
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
 	for sh, idxs := range perShard {
@@ -94,9 +87,6 @@ func (s *Store) DiggMany(ops []digg.DiggOp, out []digg.DiggOutcome) error {
 					continue
 				}
 				applied++
-				if res.Promoted {
-					promos[sh] = append(promos[sh], promo{op.Story, s.stories[op.Story].PromotedAt})
-				}
 			}
 			s.stats[sh].writes.Add(applied)
 			if ds := s.stores[sh]; ds != nil {
@@ -107,7 +97,7 @@ func (s *Store) DiggMany(ops []digg.DiggOp, out []digg.DiggOutcome) error {
 	}
 	wg.Wait()
 	mergeStart := time.Now()
-	s.mergePromotions(promos)
+	s.fold()
 	histMerge.Observe(time.Since(mergeStart))
 	for _, err := range errs {
 		if err != nil {
@@ -133,31 +123,6 @@ func (s *Store) partitionDiggs(ops []digg.DiggOp, out []digg.DiggOutcome) [][]in
 	return perShard
 }
 
-// mergePromotions folds per-shard promotion lists into the merged
-// order, sorted by (PromotedAt, ID). Each shard's list is already in
-// that shard's apply order; the global sort makes the merged order
-// independent of goroutine scheduling.
-func (s *Store) mergePromotions(promos [][]promo) {
-	var all []promo
-	for _, ps := range promos {
-		all = append(all, ps...)
-	}
-	if len(all) == 0 {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].id < all[j].id
-	})
-	for _, p := range all {
-		s.promoted = append(s.promoted, p.id)
-		s.promotedBySubmitter[s.stories[p.id].Submitter]++
-	}
-	s.invalidateRanks()
-}
-
 // SubmitMany applies a burst of submissions. Global story IDs are a
 // single dense sequence, so the router pre-validates each op (the
 // only per-op rejection Submit can issue is ErrUnknownUser), assigns
@@ -172,17 +137,13 @@ func (s *Store) SubmitMany(ops []digg.SubmitOp, out []digg.SubmitOutcome) error 
 	perShard := make([][]int, s.n)
 	base := digg.StoryID(len(s.stories))
 	assigned := 0
-	ids := make([]digg.StoryID, len(ops))
 	for i, op := range ops {
 		if op.User < 0 || int(op.User) >= s.graph.NumNodes() {
 			out[i] = digg.SubmitOutcome{Err: digg.ErrUnknownUser}
-			ids[i] = -1
 			continue
 		}
-		id := base + digg.StoryID(assigned)
+		sh := s.shardOf(base + digg.StoryID(assigned))
 		assigned++
-		ids[i] = id
-		sh := s.shardOf(id)
 		perShard[sh] = append(perShard[sh], i)
 	}
 	if assigned == 0 {
@@ -215,24 +176,15 @@ func (s *Store) SubmitMany(ops []digg.SubmitOp, out []digg.SubmitOutcome) error 
 		}(sh, idxs)
 	}
 	wg.Wait()
-	// Extend the merged sequence with the minted stories at their
-	// assigned IDs.
 	mergeStart := time.Now()
-	s.stories = append(s.stories, make([]*digg.Story, assigned)...)
-	for i, id := range ids {
-		if id < 0 {
-			continue
-		}
-		o := out[i]
-		if o.Err != nil || o.Story == nil || o.Story.ID != id {
-			// Unreachable: users were pre-validated and each shard
-			// mints its interleaved IDs in the routed order. Divergence
-			// here means the merged sequence can no longer be trusted.
-			panic(fmt.Sprintf("shard: SubmitMany op %d expected story %d, got %+v", i, id, o))
-		}
-		s.stories[id] = o.Story
-	}
+	s.fold()
 	histMerge.Observe(time.Since(mergeStart))
+	if want := int(base) + assigned; len(s.stories) != want {
+		// Unreachable: users were pre-validated and each shard mints
+		// its interleaved IDs in the routed order. Divergence here
+		// means the merged sequence can no longer be trusted.
+		panic(fmt.Sprintf("shard: SubmitMany minted up to story %d, expected %d", len(s.stories), want))
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -4,14 +4,12 @@ package shard
 // directory is N independent durable.Store directories named
 // shard-0000 ... shard-NNNN, each fully self-describing (its own
 // graph file, checkpoints and WAL; the checkpointed platform state
-// carries the shard's ID scheme). Recovery opens every shard
-// independently, then re-densifies the merged global ID sequence: if
-// a crash left one shard's WAL durable past another's for the same
-// unacknowledged burst, the trailing stories beyond the first hole in
-// the interleaved sequence are trimmed (they were never acknowledged
-// — a batch acks only after every shard's fsync) and the trimming
-// shards are checkpointed immediately so their WALs cannot resurrect
-// the trimmed records.
+// carries the shard's ID scheme). A one-shard store keeps its shard at
+// the root of the data directory instead, which is the layout of an
+// unsharded durable.Store, so such a directory opens as a one-shard
+// store. Recovery opens every shard independently, cuts every shard
+// back to the dense prefix of the merged global ID sequence (see cut)
+// and folds the shards into the merged views (see fold).
 
 import (
 	"fmt"
@@ -29,24 +27,34 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
 var shardDirRe = regexp.MustCompile(`^shard-(\d{4})$`)
 
-// ShardDirs lists the shard subdirectories of a sharded data
-// directory in shard order, validating that they are exactly
-// shard-0000 .. shard-(n-1) with no gaps.
+// ShardDirPath returns shard i's data directory under the root dir of
+// an n-shard store: the root itself when n is 1.
+func ShardDirPath(dir string, i, n int) string {
+	if n == 1 {
+		return dir
+	}
+	return filepath.Join(dir, shardDirName(i))
+}
+
+// ShardDirs lists the shard directories of a data directory in shard
+// order: the root alone when it holds a store itself, otherwise its
+// shard-0000 .. shard-(n-1) subdirectories, which must have no gaps. A
+// directory holding both a root store and shard subdirectories is
+// refused rather than guessed at.
 func ShardDirs(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
+	names, err := shardSubdirs(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() && shardDirRe.MatchString(e.Name()) {
-			names = append(names, e.Name())
+	if durable.Exists(dir) {
+		if len(names) > 0 {
+			return nil, fmt.Errorf("shard: %s holds both a root store and %s", dir, names[0])
 		}
+		return []string{dir}, nil
 	}
 	if len(names) == 0 {
-		return nil, fmt.Errorf("shard: %s contains no shard-NNNN directories", dir)
+		return nil, fmt.Errorf("shard: %s contains no store", dir)
 	}
-	sort.Strings(names)
 	out := make([]string, len(names))
 	for i, name := range names {
 		if name != shardDirName(i) {
@@ -57,10 +65,42 @@ func ShardDirs(dir string) ([]string, error) {
 	return out, nil
 }
 
-// Exists reports whether dir contains a sharded durable store (at
-// least its first shard directory).
+// Exists reports whether dir holds a store anywhere Open looks: at its
+// root, or in any shard-NNNN subdirectory. A directory whose layout
+// Open refuses (a gap in the shard sequence, a root store beside shard
+// directories) exists too, so creating only where Exists is false never
+// writes a store beside one.
 func Exists(dir string) bool {
-	return durable.Exists(filepath.Join(dir, shardDirName(0)))
+	if durable.Exists(dir) {
+		return true
+	}
+	names, err := shardSubdirs(dir)
+	if err != nil {
+		return false
+	}
+	for _, name := range names {
+		if durable.Exists(filepath.Join(dir, name)) {
+			return true
+		}
+	}
+	return false
+}
+
+// shardSubdirs returns the names of dir's shard-NNNN subdirectories in
+// shard order.
+func shardSubdirs(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range ents {
+		if e.IsDir() && shardDirRe.MatchString(e.Name()) {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
 // RecoveryInfo describes what Open did, shard by shard.
@@ -75,17 +115,22 @@ type RecoveryInfo struct {
 	Generation uint64
 }
 
-// Create initializes dir as a sharded data directory around an
-// existing unsharded platform (typically a pregenerated corpus),
-// splitting it across n shards and creating one durable store per
-// shard. The same genesis blob is recorded in every shard.
+// Create initializes dir as a data directory around an existing
+// unsharded platform (typically a pregenerated corpus), splitting it
+// across n shards and creating one durable store per shard (at the
+// root of dir when n is 1). The same genesis blob is recorded in every
+// shard. A directory that already holds a store (see Exists) is
+// refused, whatever its layout.
 func Create(dir string, src *digg.Platform, n int, genesis []byte, opts durable.Options) (*Store, error) {
+	if Exists(dir) {
+		return nil, fmt.Errorf("shard: %s already holds a store (use Open)", dir)
+	}
 	s, err := FromPlatform(src, n)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		ds, err := durable.Create(filepath.Join(dir, shardDirName(i)), s.plats[i], genesis, opts)
+		ds, err := durable.Create(ShardDirPath(dir, i, n), s.plats[i], genesis, opts)
 		if err != nil {
 			closeShards(s.stores[:i])
 			return nil, fmt.Errorf("shard: creating shard %d: %w", i, err)
@@ -98,57 +143,31 @@ func Create(dir string, src *digg.Platform, n int, genesis []byte, opts durable.
 	return s, nil
 }
 
-// Open recovers a sharded store from dir: every shard directory is
-// opened independently (newest checkpoint + WAL tail replay), the
-// merged story sequence is rebuilt by interleaving the shards' ID
-// sequences, trailing unacknowledged stories past the first hole are
-// trimmed, and the merged promotion order is reconstructed by a
-// deterministic k-way merge on (PromotedAt, ID) that preserves each
-// shard's internal order.
+// Open recovers a store from dir in three steps: every shard directory
+// is opened independently (newest checkpoint + WAL tail replay), every
+// shard is cut back to the dense prefix of the merged global ID
+// sequence, and the shards are folded into the merged views. The cut
+// comes first, so the fold releases every shard's promotions in full.
 func Open(dir string, opts durable.Options) (*Store, error) {
 	s, err := openShards(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	n := s.n
-
-	// Re-densify: the first missing global ID across all shards bounds
-	// the acknowledged prefix; anything a shard holds beyond it came
-	// from a burst that never fully fsynced and was never acked.
-	trimmed := 0
-	prefix := s.densePrefix()
-	for i := 0; i < n; i++ {
-		keep := ownedBelow(prefix, i, n)
-		if dropped := s.plats[i].TrimStories(keep); dropped > 0 {
-			trimmed += dropped
-			// Checkpoint immediately so the shard's WAL (which still
-			// holds the trimmed records) can never replay them.
-			if err := s.stores[i].Checkpoint(); err != nil {
-				closeShards(s.stores)
-				return nil, fmt.Errorf("shard: checkpointing shard %d after trim: %w", i, err)
-			}
-		}
+	trimmed, err := s.cut()
+	if err != nil {
+		closeShards(s.stores)
+		return nil, err
 	}
-
-	// Rebuild the merged story sequence by interleaving.
-	s.stories = make([]*digg.Story, prefix)
-	for k := 0; k < prefix; k++ {
-		s.stories[k] = s.plats[k%n].Stories()[k/n]
-	}
-	// Rebuild the merged promotion order by k-way merge.
-	s.promoted = s.mergeShardPromotions()
-	for _, id := range s.promoted {
-		s.promotedBySubmitter[s.stories[id].Submitter]++
-	}
+	s.fold()
 	s.rec = RecoveryInfo{Shards: recoveries(s.stores), Trimmed: trimmed, Generation: s.Generation()}
 	return s, nil
 }
 
 // openShards opens every shard directory under dir, sharing shard 0's
 // decoded graph with the rest and checking each shard's ID scheme, and
-// adopts the stores into a new Store. The merged story and promotion
-// views are left empty for the caller, whose rule for shard tails past
-// the dense prefix differs (Open trims them, OpenFollower waits).
+// adopts the stores into a new Store. The merged views are left empty
+// for the caller to fold, after Open's cut or, on a follower, without
+// one.
 func openShards(dir string, opts durable.Options) (*Store, error) {
 	dirs, err := ShardDirs(dir)
 	if err != nil {
@@ -182,68 +201,6 @@ func openShards(dir string, opts durable.Options) (*Store, error) {
 	}
 	s.dir = dir
 	return s, nil
-}
-
-// densePrefix returns the length of the dense merged prefix: the
-// smallest global ID no shard holds.
-func (s *Store) densePrefix() int {
-	prefix := -1
-	for i, p := range s.plats {
-		// Shard i's first missing global ID is i + count*n.
-		miss := i + p.NumStories()*s.n
-		if prefix < 0 || miss < prefix {
-			prefix = miss
-		}
-	}
-	return prefix
-}
-
-// ownedBelow returns how many global IDs below bound shard i owns
-// under an n-way interleave.
-func ownedBelow(bound, i, n int) int {
-	if bound <= i {
-		return 0
-	}
-	return (bound - i + n - 1) / n
-}
-
-// mergeShardPromotions merges the shards' promotion orders into one
-// list sorted by (PromotedAt, ID), preserving each shard's internal
-// order (which is already non-decreasing in its own apply sequence
-// under monotone simulation time). The merge is deterministic, so
-// repeated recoveries of the same shard states produce the same
-// front page.
-func (s *Store) mergeShardPromotions() []digg.StoryID {
-	type head struct {
-		ids []digg.StoryID
-		pos int
-	}
-	heads := make([]head, s.n)
-	total := 0
-	for i, p := range s.plats {
-		heads[i].ids = p.PromotedIDs()
-		total += len(heads[i].ids)
-	}
-	merged := make([]digg.StoryID, 0, total)
-	for len(merged) < total {
-		best := -1
-		var bestID digg.StoryID
-		var bestAt digg.Minutes
-		for i := range heads {
-			h := &heads[i]
-			if h.pos >= len(h.ids) {
-				continue
-			}
-			id := h.ids[h.pos]
-			at := s.stories[id].PromotedAt
-			if best < 0 || at < bestAt || (at == bestAt && id < bestID) {
-				best, bestID, bestAt = i, id, at
-			}
-		}
-		merged = append(merged, bestID)
-		heads[best].pos++
-	}
-	return merged
 }
 
 func recoveries(stores []*durable.Store) []durable.RecoveryInfo {

@@ -2,7 +2,9 @@
 // implements digg.Store by partitioning stories over N shard-local
 // *digg.Platform instances (optionally each wrapped in its own
 // durable.Store with a private WAL directory), so concurrent write
-// bursts never contend on one lock or one fsync.
+// bursts never contend on one lock or one fsync. It is also the only
+// durable store shape: an unsharded durable node is a one-shard Store
+// whose shard lives at the root of its data directory.
 //
 // Routing is a fixed consistent hash of the story ID: shard(id) =
 // id % N. The hash is collision-free and dense because the shards
@@ -17,8 +19,10 @@
 // promotion-order slice, so every digg.Store query — front page,
 // upcoming, cursors over stories — behaves exactly as on a single
 // platform, and the serving layer's pre-rendered snapshots work
-// unchanged. The reputation ranking is recomputed from the merged
-// promotion tally with the same ordering rules as digg.Platform.
+// unchanged. Both views grow through one fold (fold.go), whichever
+// path changed the shards. The reputation ranking is recomputed from
+// the merged promotion tally with the same ordering rules as
+// digg.Platform.
 //
 // The composite generation is the sum of the per-shard generations:
 // every mutation increments exactly one shard's generation, so the
@@ -62,11 +66,11 @@ type Store struct {
 	// stories is the merged story sequence, index == global story ID.
 	// Like Platform.Stories it is shared and append-only.
 	stories []*digg.Story
-	// promoted is the merged promotion order, append-only: a promotion
-	// is appended when the vote that caused it lands (batch promotions
-	// in (PromotedAt, ID) order; see bulk.go), or reconstructed by a
-	// deterministic k-way merge at Open.
+	// promoted is the merged promotion order, append-only. FromPlatform
+	// copies its source's order; every later promotion enters through
+	// fold. folded[i] counts shard i's platform promotions it holds.
 	promoted []digg.StoryID
+	folded   []int
 
 	// Merged reputation state, maintained with the same rules and
 	// locking discipline as digg.Platform's.
@@ -82,13 +86,6 @@ type Store struct {
 	// applyHist times each shard's bulk sub-batch apply (commands plus
 	// the shard's WAL group commit), labeled shard="i".
 	applyHist []*obs.Histogram
-
-	// Replicated-apply bookkeeping (repl.go): how many of each shard's
-	// platform promotions have been folded toward the merged order, and
-	// promotions whose stories are still outside the merged dense
-	// prefix. Empty on a primary.
-	replSeen    []int
-	replPending []pendingPromo
 
 	rec RecoveryInfo
 	dir string
@@ -135,7 +132,7 @@ func New(g *graph.Graph, policy digg.PromotionPolicy, n int) *Store {
 		promotedBySubmitter: make(map[digg.UserID]int),
 		stats:               make([]shardCounters, n),
 		applyHist:           make([]*obs.Histogram, n),
-		replSeen:            make([]int, n),
+		folded:              make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		s.applyHist[i] = obs.Default.Histogram("diggsim_shard_apply_seconds",
@@ -174,6 +171,9 @@ func FromPlatform(src *digg.Platform, n int) (*Store, error) {
 	s.promoted = append(s.promoted, src.PromotedIDs()...)
 	for _, id := range s.promoted {
 		s.promotedBySubmitter[s.stories[id].Submitter]++
+	}
+	for i, p := range s.plats {
+		s.folded[i] = len(p.PromotedIDs())
 	}
 	return s, nil
 }
@@ -375,14 +375,6 @@ func (s *Store) invalidateRanks() {
 	s.rankMu.Unlock()
 }
 
-// recordPromotion appends a promotion to the merged order and updates
-// the reputation tally. Caller is the single writer.
-func (s *Store) recordPromotion(id digg.StoryID) {
-	s.promoted = append(s.promoted, id)
-	s.promotedBySubmitter[s.stories[id].Submitter]++
-	s.invalidateRanks()
-}
-
 // --- commands ---
 
 // Submit routes the next global story ID's submission to its shard.
@@ -398,8 +390,8 @@ func (s *Store) Submit(u digg.UserID, title string, interest float64, t digg.Min
 		// mismatch means the store and its shards diverged.
 		panic(fmt.Sprintf("shard: shard %d assigned story %d, merged sequence expected %d", sh, st.ID, id))
 	}
-	s.stories = append(s.stories, st)
 	s.stats[sh].writes.Add(1)
+	s.fold()
 	return st, nil
 }
 
@@ -413,11 +405,8 @@ func (s *Store) InstallStory(st *digg.Story) error {
 	if err := s.shards[sh].InstallStory(st); err != nil {
 		return err
 	}
-	s.stories = append(s.stories, st)
 	s.stats[sh].writes.Add(1)
-	if st.Promoted {
-		s.recordPromotion(st.ID)
-	}
+	s.fold()
 	return nil
 }
 
@@ -434,7 +423,7 @@ func (s *Store) Digg(id digg.StoryID, u digg.UserID, t digg.Minutes) (digg.DiggR
 	}
 	s.stats[sh].writes.Add(1)
 	if res.Promoted {
-		s.recordPromotion(id)
+		s.fold()
 	}
 	return res, nil
 }
