@@ -57,15 +57,18 @@
 // contract drift without a version note in docs/api.md.
 //
 // Between the statistical core and every serving consumer sits
-// digg.Store, the command/query interface extracted from the
-// in-memory *digg.Platform: httpapi.Server, live.Service, the agent
-// stepper and the dataset exporter all compile against the interface,
-// so backends plug in underneath the HTTP surface without touching
-// any caller.
+// digg.Store, the command/query interface: httpapi.Server,
+// live.Service, the agent stepper and the dataset exporter all compile
+// against it. The in-memory *digg.Platform and the sharded store below
+// implement it, and batching (BeginBatch/EndBatch), bulk writes
+// (DiggMany/SubmitMany) and the shard layout are part of it, so every
+// consumer takes one code path whatever it serves (a platform's batch
+// bracket does nothing, its bulk writes are in-order loops, and it
+// reports no shards).
 //
-// The first such backend is the durability layer (internal/wal +
-// internal/durable): diggd -data-dir wraps the platform in a
-// durable.Store that write-ahead logs every command — a segmented
+// Durability comes from the durability layer (internal/wal +
+// internal/durable): under diggd -data-dir every shard's commands go
+// through a durable.Store that write-ahead logs each one — a segmented
 // binary log with fixed CRC32-C record headers and a genesis record
 // holding the run's seed and config — before applying it, takes
 // periodic atomically-renamed full-state checkpoints, and truncates
@@ -73,13 +76,14 @@
 // newest valid checkpoint plus the replayed WAL tail (torn trailing
 // records are truncated, mid-log corruption refuses recovery) and
 // reproduces the platform with zero observable state change. Batch
-// endpoints and each live tick group their whole write burst through
-// the optional digg.Batcher capability into one WAL append and one
-// fsync, so durable batch throughput stays within ~12% of the
-// in-memory rate, while reads never touch the WAL at all (the
-// lock-free snapshot path is unchanged). Three -fsync policies trade
-// machine-crash durability against write latency; `diggstats -wal`
-// inspects a data directory. See docs/persistence.md. Cursors ride the snapshot infrastructure:
+// endpoints (through DiggMany/SubmitMany) and each live tick (through
+// the store's batch bracket) group their whole write burst into one
+// WAL append and one fsync per shard, so durable batch throughput
+// stays within ~13% of the in-memory rate, while reads never touch the
+// WAL at all (the lock-free snapshot path is unchanged). Three -fsync
+// policies trade machine-crash durability against write latency;
+// `diggstats -wal` inspects a data directory. See docs/persistence.md.
+// Cursors ride the snapshot infrastructure:
 // every list page, at any depth, is cut lock-free from the published
 // snapshot's pre-rendered bytes; the cursor's boundary key
 // (submission index, promotion index, story id, rank or link index —
@@ -92,8 +96,8 @@
 // diggd -shards N partitions stories across N shard-local platforms —
 // story ID modulo N over interleaved dense ID sequences, so the
 // merged story sequence is bit-identical to a single platform's —
-// each shard optionally wrapped in its own durable.Store with a
-// private WAL directory (data-dir/shard-0000, ...). Every durable
+// each shard's commands optionally logged by its own durable.Store in
+// a private WAL directory (data-dir/shard-0000, ...). Every durable
 // node is a shard.Store: without -shards, diggd -data-dir keeps its
 // one shard at the root of the data directory, and on recovery the
 // layout on disk decides the shard count. Batch writes

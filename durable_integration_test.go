@@ -1,7 +1,8 @@
 package diggsim
 
 // durable_integration_test.go exercises the persistence subsystem end
-// to end: a live service drives a durable store (write-ahead log +
+// to end: a live service drives a durable store (a one-shard
+// shard.Store, the shape `diggd -data-dir` serves: write-ahead log +
 // checkpoints) while HTTP readers crawl the lock-free snapshot path,
 // the process "crashes" (the store is abandoned without any shutdown
 // hook), and recovery must reproduce the platform exactly — the
@@ -21,6 +22,7 @@ import (
 	"diggsim/internal/durable"
 	"diggsim/internal/httpapi"
 	"diggsim/internal/live"
+	"diggsim/internal/shard"
 	"diggsim/internal/wal"
 )
 
@@ -99,7 +101,7 @@ func TestCrashRecoveryUnderLiveService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := durable.Create(dir, ds.Platform, []byte(`{"test":"crash-recovery"}`),
+	store, err := shard.Create(dir, ds.Platform, 1, []byte(`{"test":"crash-recovery"}`),
 		durableTestOptions(cfg.Policy))
 	if err != nil {
 		t.Fatal(err)
@@ -184,15 +186,15 @@ func TestCrashRecoveryUnderLiveService(t *testing.T) {
 	// durable point. Capture it, then crash — no shutdown hook, no
 	// close; the abandoned store is simply never touched again.
 	svc.Locker().RLock()
-	want := capture(t, store.Unwrap())
+	want := capture(t, store.DurableShard(0).Unwrap())
 	svc.Locker().RUnlock()
 
-	recovered, err := durable.Open(dir, durableTestOptions(cfg.Policy))
+	recovered, err := shard.Open(dir, durableTestOptions(cfg.Policy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
-	rec := recovered.Recovery()
+	rec := recovered.Recovery().Shards[0]
 	if rec.Replayed == 0 {
 		t.Fatal("hard stop after a mid-run checkpoint must leave a WAL tail to replay")
 	}
@@ -219,7 +221,7 @@ func TestCrashRecoveryUnderLiveService(t *testing.T) {
 	// Clean shutdown: final checkpoint + close. The next boot must
 	// replay zero records and still match exactly.
 	svc2.Locker().RLock()
-	want2 := capture(t, recovered.Unwrap())
+	want2 := capture(t, recovered.DurableShard(0).Unwrap())
 	svc2.Locker().RUnlock()
 	svc2.Locker().Lock()
 	err = recovered.Checkpoint()
@@ -230,12 +232,12 @@ func TestCrashRecoveryUnderLiveService(t *testing.T) {
 	if err := recovered.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := durable.Open(dir, durableTestOptions(cfg.Policy))
+	reopened, err := shard.Open(dir, durableTestOptions(cfg.Policy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if rec := reopened.Recovery(); rec.Replayed != 0 {
+	if rec := reopened.Recovery().Shards[0]; rec.Replayed != 0 {
 		t.Fatalf("clean shutdown replayed %d records, want 0", rec.Replayed)
 	}
 	assertRecovered(t, want2, reopened)

@@ -51,9 +51,9 @@ type stepRun struct {
 	promotedSeen bool
 }
 
-// NewStepper creates a stepper over any digg.Store (in practice the
-// in-memory *digg.Platform; the interface is the seam future backends
-// plug into). It returns an error if the configuration is invalid.
+// NewStepper creates a stepper over any digg.Store: an in-memory
+// *digg.Platform or a shard.Store. It returns an error if the
+// configuration is invalid.
 func NewStepper(p digg.Store, cfg Config, r *rng.RNG) (*Stepper, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -346,12 +346,8 @@ func FromPlatform(p digg.Store, snapshotAt digg.Minutes, topUserListSize int) *D
 	stories := append([]*digg.Story(nil), p.Stories()...)
 	d := &Dataset{Graph: p.SocialGraph(), Stories: stories}
 	// Analysis code that needs the concrete platform gets it when the
-	// store is the canonical in-memory one, or a decorator (the durable
-	// store) that can unwrap to it.
+	// store is the in-memory one.
 	d.Platform, _ = p.(*digg.Platform)
-	if u, ok := p.(interface{ Unwrap() *digg.Platform }); d.Platform == nil && ok {
-		d.Platform = u.Unwrap()
-	}
 	d.FrontPage = frontPageSample(stories, snapshotAt, len(stories))
 	d.UpcomingAtSnapshot = upcomingSnapshot(stories, snapshotAt)
 	d.TopUsers = topUserList(p, p.SocialGraph(), topUserListSize)

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"diggsim/internal/dense"
 	"diggsim/internal/graph"
@@ -98,9 +97,9 @@ func (s *Story) HasVoted(u UserID) bool {
 // Concurrent read-only access is safe only under external
 // synchronization that excludes mutators: the live serving layer wraps
 // the platform in a sync.RWMutex, with Submit/Digg under the write lock
-// and every accessor under the read lock (UserRank's lazy rank cache
-// carries its own internal mutex so concurrent read-lock holders may
-// call it).
+// and every accessor under the read lock (the Ranking's lazy caches
+// carry their own internal mutex so concurrent read-lock holders may
+// fill them).
 //
 // Per-story voter and audience membership is held in pooled
 // epoch-stamped dense sets (internal/dense) rather than per-story
@@ -137,17 +136,9 @@ type Platform struct {
 	// caused it). Snapshot builders re-encode only stories whose
 	// version moved since the last publication.
 	storyVer []uint32
-	// promotedBySubmitter counts front-page stories per user, the basis
-	// of the reputation ("top users") ranking.
-	promotedBySubmitter map[UserID]int
-	// rankCache memoizes the UserRank lookup and rankedCache the full
-	// sorted TopUsers order; both are dropped whenever a promotion
-	// changes the ranking (invalidateRanks). rankMu guards the caches
-	// so that concurrent readers (HTTP handlers under the serving
-	// layer's read lock) can trigger the lazy fill safely.
-	rankMu      sync.Mutex
-	rankCache   map[UserID]int
-	rankedCache []UserID
+	// rank is the reputation ("top users") ranking over the platform's
+	// promotions.
+	rank *Ranking
 	// comments holds all comments in insertion order (see comments.go).
 	comments []Comment
 }
@@ -174,10 +165,10 @@ func NewPlatform(g *graph.Graph, policy PromotionPolicy) *Platform {
 		policy = NewClassicPromotion()
 	}
 	return &Platform{
-		Graph:               g,
-		Policy:              policy,
-		idStep:              1,
-		promotedBySubmitter: make(map[UserID]int),
+		Graph:  g,
+		Policy: policy,
+		idStep: 1,
+		rank:   NewRanking(g),
 	}
 }
 
@@ -331,8 +322,7 @@ func (p *Platform) InstallStory(s *Story) error {
 	p.visible = append(p.visible, nil)
 	if s.Promoted {
 		p.promoted = append(p.promoted, s.ID)
-		p.promotedBySubmitter[s.Submitter]++
-		p.invalidateRanks()
+		p.rank.Promote(s.Submitter)
 	}
 	return nil
 }
@@ -383,8 +373,7 @@ func (p *Platform) Digg(id StoryID, u UserID, t Minutes) (DiggResult, error) {
 		s.Promoted = true
 		s.PromotedAt = t
 		p.promoted = append(p.promoted, id)
-		p.promotedBySubmitter[s.Submitter]++
-		p.invalidateRanks()
+		p.rank.Promote(s.Submitter)
 		res.Promoted = true
 	}
 	return res, nil
@@ -453,14 +442,9 @@ func (p *Platform) TrimStories(keep int) int {
 	// Owned IDs are monotone in the local index, so id >= cut exactly
 	// identifies trimmed stories wherever they appear.
 	kept := p.promoted[:0]
-	ranksDirty := false
 	for _, id := range p.promoted {
 		if id >= cut {
-			sub := p.stories[p.index(id)].Submitter
-			if p.promotedBySubmitter[sub]--; p.promotedBySubmitter[sub] == 0 {
-				delete(p.promotedBySubmitter, sub)
-			}
-			ranksDirty = true
+			p.rank.Unpromote(p.stories[p.index(id)].Submitter)
 			continue
 		}
 		kept = append(kept, id)
@@ -484,9 +468,6 @@ func (p *Platform) TrimStories(keep int) int {
 	p.storyVer = p.storyVer[:keep]
 	p.voted = p.voted[:keep]
 	p.visible = p.visible[:keep]
-	if ranksDirty {
-		p.invalidateRanks()
-	}
 	p.gen++
 	return n - keep
 }
@@ -572,107 +553,15 @@ func (p *Platform) FriendsInterface(u UserID, since, now Minutes) FriendActivity
 	return act
 }
 
-// rankedLocked returns the full reputation ordering (every user with a
-// promoted submission, best first), computing and caching it on first
-// use. Callers must hold rankMu; the returned slice is the cache and
-// must not be modified.
-func (p *Platform) rankedLocked() []UserID {
-	if p.rankedCache != nil {
-		return p.rankedCache
-	}
-	type entry struct {
-		u        UserID
-		promoted int
-	}
-	entries := make([]entry, 0, len(p.promotedBySubmitter))
-	for u, c := range p.promotedBySubmitter {
-		entries = append(entries, entry{u, c})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].promoted != entries[j].promoted {
-			return entries[i].promoted > entries[j].promoted
-		}
-		fi, fj := p.Graph.InDegree(entries[i].u), p.Graph.InDegree(entries[j].u)
-		if fi != fj {
-			return fi > fj
-		}
-		return entries[i].u < entries[j].u
-	})
-	ranked := make([]UserID, len(entries))
-	for i, e := range entries {
-		ranked[i] = e.u
-	}
-	p.rankedCache = ranked
-	return ranked
-}
-
 // TopUsers returns up to k users ranked by promoted front-page
 // submissions (descending), breaking ties by fan count then ID — the
-// site's "Top Users" reputation list. The sorted order is cached and
-// invalidated with the rank caches when a promotion changes it, so
-// repeated calls do not re-sort the user population.
-func (p *Platform) TopUsers(k int) []UserID {
-	p.rankMu.Lock()
-	ranked := p.rankedLocked()
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	if k < 0 {
-		k = 0
-	}
-	out := make([]UserID, k)
-	copy(out, ranked[:k])
-	p.rankMu.Unlock()
-	return out
-}
+// site's "Top Users" reputation list (see Ranking).
+func (p *Platform) TopUsers(k int) []UserID { return p.rank.TopUsers(k) }
 
-// Ranks returns the user → 1-based reputation rank map (users without
-// promoted stories are absent), computing and caching it on first use.
-// The returned map is shared and never mutated in place — promotions
-// replace it — so callers that obtained it while mutators were
-// excluded may keep reading it without any lock.
-func (p *Platform) Ranks() map[UserID]int {
-	p.rankMu.Lock()
-	defer p.rankMu.Unlock()
-	if p.rankCache == nil {
-		ranked := p.rankedLocked()
-		m := make(map[UserID]int, len(ranked))
-		for i, u := range ranked {
-			m[u] = i + 1
-		}
-		p.rankCache = m
-	}
-	return p.rankCache
-}
+// Ranks returns the shared, immutable user → 1-based reputation rank
+// map (users without promoted stories are absent).
+func (p *Platform) Ranks() map[UserID]int { return p.rank.Ranks() }
 
 // UserRank returns the 1-based reputation rank of u (1 = most promoted
-// submissions) or 0 if u has no promoted stories. The full ranking is
-// computed once and cached; promotions invalidate the cache, so
-// repeated lookups (e.g. the HTTP API's per-story rank annotations) do
-// not re-sort the ranked-user list.
-func (p *Platform) UserRank(u UserID) int {
-	p.rankMu.Lock()
-	defer p.rankMu.Unlock()
-	if p.rankCache == nil {
-		ranked := p.rankedLocked()
-		m := make(map[UserID]int, len(ranked))
-		for i, t := range ranked {
-			m[t] = i + 1
-		}
-		p.rankCache = m
-	}
-	return p.rankCache[u]
-}
-
-// invalidateRanks drops the memoized reputation ranking after a
-// promotion changes it. Callers hold whatever lock excludes readers
-// (mutation is single-writer); rankMu only orders the store against
-// concurrent UserRank fills. The dropped map and slice are abandoned,
-// not cleared, so snapshots holding them keep a consistent (stale)
-// view.
-func (p *Platform) invalidateRanks() {
-	p.rankMu.Lock()
-	p.rankCache = nil
-	p.rankedCache = nil
-	p.rankMu.Unlock()
-}
+// submissions) or 0 if u has no promoted stories.
+func (p *Platform) UserRank(u UserID) int { return p.rank.UserRank(u) }

@@ -320,7 +320,7 @@ func RestorePlatform(g *graph.Graph, policy PromotionPolicy, data []byte) (*Plat
 			return nil, fmt.Errorf("%w: promotion order references story %d", ErrBadEncoding, id)
 		}
 		p.promoted = append(p.promoted, id)
-		p.promotedBySubmitter[p.stories[idx].Submitter]++
+		p.rank.Promote(p.stories[idx].Submitter)
 	}
 	nComments := d.count(4)
 	if d.err != nil {

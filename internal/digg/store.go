@@ -1,22 +1,33 @@
 package digg
 
-import "diggsim/internal/graph"
+import (
+	"fmt"
+
+	"diggsim/internal/graph"
+)
 
 // Store is the command/query seam between the statistical core and
 // every serving-layer consumer: httpapi.Server, live.Service, the
 // agent stepper and the dataset exporter all compile against this
-// interface rather than the concrete *Platform. It exists so future
-// backends — a sharded store, a replica fan-out, a persistent
-// write-ahead store — can slot in underneath the HTTP surface without
-// touching any caller.
+// interface rather than a concrete store. The in-memory *Platform
+// implements it, and so does internal/shard's Store, which partitions
+// stories over N platforms and is also the shape of every durable
+// node. Batching, bulk writes and the shard layout are part of the
+// contract, so every consumer takes one code path whatever store it
+// serves.
 //
 // Concurrency contract: a Store is single-writer. The commands
-// (Submit, InstallStory, Digg, CompactStory) and the queries share
-// whatever external synchronization the caller provides (the serving
-// layer's RWMutex); implementations may additionally make individual
-// queries internally synchronized or lock-free, as *Platform does for
-// UserRank, Ranks and SocialGraph.
+// (Submit, InstallStory, Digg, CompactStory, the bulk writes and the
+// batch bracket) and the queries share whatever external
+// synchronization the caller provides (the serving layer's RWMutex);
+// implementations may additionally make individual queries internally
+// synchronized or lock-free, as *Platform does for UserRank, Ranks and
+// SocialGraph.
 type Store interface {
+	Batcher
+	BulkWriter
+	Sharded
+
 	// --- queries ---
 
 	// Generation increments on every mutation; equal generations imply
@@ -67,21 +78,17 @@ type Store interface {
 	CompactStory(id StoryID) error
 }
 
-// Batcher is an optional Store capability for grouping the durability
-// cost of many commands. Callers that apply a burst of writes under
-// one lock acquisition (the v1 batch endpoints, the live stepper's
-// per-tick command stream) bracket the burst with BeginBatch/EndBatch;
-// a store that persists commands (internal/durable) then stages the
-// burst's log records in memory and commits them as a single
-// write-ahead append and one fsync in EndBatch. Between the calls the
-// commands apply to the in-memory state as usual, so reads issued
-// inside the batch (and the command results themselves) see their own
-// writes; the durability acknowledgment is EndBatch returning nil.
-//
-// Discover it by type assertion — a Store without the capability needs
-// no bracketing:
-//
-//	if b, ok := store.(digg.Batcher); ok { b.BeginBatch(); defer ... }
+// Batcher groups the durability cost of many commands. Callers that
+// apply a burst of single commands under one lock acquisition (the
+// live stepper's per-tick command stream) bracket the burst with
+// BeginBatch/EndBatch; a store that persists commands (each durable
+// shard of a shard.Store) then stages the burst's log records in
+// memory and commits them as a single write-ahead append and one fsync
+// in EndBatch. Between the calls the commands apply to the in-memory
+// state as usual, so reads issued inside the batch (and the command
+// results themselves) see their own writes; the durability
+// acknowledgment is EndBatch returning nil. On an in-memory *Platform
+// the bracket does nothing.
 //
 // Like the command methods, BeginBatch and EndBatch require the
 // caller's external write synchronization. Batches do not nest.
@@ -119,12 +126,12 @@ type SubmitOutcome struct {
 	Err   error
 }
 
-// BulkWriter is an optional Store capability for applying a burst of
-// same-kind commands as one unit. A sharded store implements it by
-// splitting the burst into per-shard sub-batches applied concurrently
-// (one WAL append and one fsync per shard per burst), which is where
-// multi-core write throughput comes from — bracketing a serial loop
-// with Batcher alone still applies every command on one goroutine.
+// BulkWriter applies a burst of same-kind commands as one unit (the v1
+// batch endpoints hand it each request's whole burst). A sharded store
+// splits the burst into per-shard sub-batches applied concurrently,
+// each in its shard's own batch bracket (one WAL append and one fsync
+// per shard per burst), which is where multi-core write throughput
+// comes from; a *Platform applies the ops in order, one command each.
 //
 // Semantics match the serial loop exactly: outcomes land at the index
 // of their op, each op sees the writes of earlier ops on the same
@@ -141,20 +148,61 @@ type BulkWriter interface {
 	SubmitMany(ops []SubmitOp, out []SubmitOutcome) error
 }
 
-// Sharded is an optional Store capability reporting the shard layout.
-// The serving layer uses it to stamp cursors and read views with the
-// composite generation vector so pagination guarantees survive
-// sharding; an unsharded store simply lacks the capability.
+// Sharded reports the shard layout. The serving layer stamps cursors
+// and read views with the per-shard generation vector, so pagination
+// guarantees survive sharding, and rejects a cursor minted under
+// another layout. A *Platform is unsharded: it reports no shards and
+// an empty vector, so its cursors carry none.
 type Sharded interface {
-	// ShardCount returns the number of shards (>= 1).
+	// ShardCount returns the number of shards (0 when unsharded).
 	ShardCount() int
 	// ShardGenerations appends the per-shard generation vector to dst
-	// and returns it. The sum equals Generation().
+	// and returns it. When sharded, the sum equals Generation().
 	ShardGenerations(dst []uint64) []uint64
 }
 
-// Platform is the canonical in-memory single-shard Store.
+// Platform is the canonical in-memory unsharded Store.
 var _ Store = (*Platform)(nil)
+
+// BeginBatch does nothing: an in-memory platform has no durability
+// cost to group.
+func (p *Platform) BeginBatch() {}
+
+// EndBatch does nothing and never fails.
+func (p *Platform) EndBatch() error { return nil }
+
+// DiggMany applies ops in order, one Digg each, exactly as the serial
+// loop BulkWriter specifies. It never returns a batch-level error.
+func (p *Platform) DiggMany(ops []DiggOp, out []DiggOutcome) error {
+	if len(out) != len(ops) {
+		panic(fmt.Sprintf("digg: DiggMany out len %d, ops len %d", len(out), len(ops)))
+	}
+	for i, op := range ops {
+		res, err := p.Digg(op.Story, op.User, op.At)
+		out[i] = DiggOutcome{Result: res, Err: err}
+	}
+	return nil
+}
+
+// SubmitMany applies ops in order, one Submit each. It never returns a
+// batch-level error.
+func (p *Platform) SubmitMany(ops []SubmitOp, out []SubmitOutcome) error {
+	if len(out) != len(ops) {
+		panic(fmt.Sprintf("digg: SubmitMany out len %d, ops len %d", len(out), len(ops)))
+	}
+	for i, op := range ops {
+		st, err := p.Submit(op.User, op.Title, op.Interest, op.At)
+		out[i] = SubmitOutcome{Story: st, Err: err}
+	}
+	return nil
+}
+
+// ShardCount returns 0: a platform is unsharded.
+func (p *Platform) ShardCount() int { return 0 }
+
+// ShardGenerations returns dst unchanged: a platform has no shard
+// vector.
+func (p *Platform) ShardGenerations(dst []uint64) []uint64 { return dst }
 
 // SocialGraph returns the platform's immutable social graph,
 // satisfying Store (the Graph field remains for direct users).

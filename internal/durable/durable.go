@@ -1,22 +1,21 @@
-// Package durable makes the platform survive restarts: a decorator
-// implementing digg.Store that write-ahead logs every command to a
-// segmented binary log (internal/wal) before delegating to the wrapped
-// in-memory *digg.Platform, takes periodic full-state checkpoints, and
-// recovers on Open by loading the newest valid checkpoint and
-// replaying the WAL tail.
+// Package durable makes one platform survive restarts: a Store
+// write-ahead logs every command to a segmented binary log
+// (internal/wal) before applying it to its in-memory *digg.Platform,
+// takes periodic full-state checkpoints, and recovers on Open by
+// loading the newest valid checkpoint and replaying the WAL tail.
 //
-// Because every serving-layer consumer (httpapi.Server, live.Service,
-// agent.Stepper, the dataset exporter) compiles against digg.Store,
-// durability is a constructor swap: wrap the platform in Create/Open
-// and hand the result to the same constructors. Reads never touch the
-// WAL — queries delegate straight to the platform, so the lock-free
-// snapshot read path is byte-for-byte unaffected.
+// A Store is one shard's log, not a digg.Store: internal/shard routes
+// each shard's commands and batch bracket through one, and serves
+// every read from the platforms themselves (Unwrap), so reads never
+// touch the WAL and the lock-free snapshot read path is unaffected.
+// Every durable node is a shard.Store.
 //
-// Concurrency follows the Store contract: commands (and BeginBatch/
-// EndBatch/Checkpoint) require the caller's external write
-// synchronization — the serving layer's RWMutex — while queries run
-// under the read side. The only internal concurrency is the WAL's
-// interval flusher, which the wal.Writer synchronizes itself.
+// Concurrency follows the digg.Store contract: commands (and
+// BeginBatch/EndBatch/Checkpoint) require the caller's external write
+// synchronization — the serving layer's RWMutex — while reads of the
+// platform run under the read side. The only internal concurrency is
+// the WAL's interval flusher, which the wal.Writer synchronizes
+// itself.
 //
 // See docs/persistence.md for the on-disk format, fsync trade-offs,
 // recovery guarantees and the operator runbook.
@@ -108,9 +107,9 @@ type RecoveryInfo struct {
 	Generation uint64
 }
 
-// Store is a durable digg.Store: WAL append first, then delegate to
-// the wrapped platform. Create starts a fresh data directory around an
-// existing platform; Open recovers one.
+// Store is one durable platform: WAL append first, then apply to the
+// platform. Create starts a fresh data directory around an existing
+// platform; Open recovers one.
 type Store struct {
 	p    *digg.Platform
 	w    *wal.Writer
@@ -182,12 +181,6 @@ func (s *Store) stampCommit() {
 		TraceID:  s.writeTrace.Load(),
 	})
 }
-
-// Store implements digg.Store and the batch-grouping capability.
-var (
-	_ digg.Store   = (*Store)(nil)
-	_ digg.Batcher = (*Store)(nil)
-)
 
 // Create initializes dir as a new data directory around platform p:
 // the immutable social graph file, the genesis record (an opaque
@@ -416,33 +409,15 @@ func (s *Store) Recovery() RecoveryInfo { return s.rec }
 // Genesis returns the provenance blob stored at log creation.
 func (s *Store) Genesis() []byte { return s.genesis }
 
-// Unwrap returns the wrapped in-memory platform. dataset.FromPlatform
-// uses it (by interface assertion) so exports of a durable run carry
-// the concrete platform like in-memory runs do.
+// Unwrap returns the platform the store logs. Every read goes to it
+// directly; mutate it only through the store's commands, or the log
+// will not hold the change.
 func (s *Store) Unwrap() *digg.Platform { return s.p }
 
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// --- queries: pure delegation; reads never touch the WAL ---
-
-func (s *Store) Generation() uint64                         { return s.p.Generation() }
-func (s *Store) NumStories() int                            { return s.p.NumStories() }
-func (s *Store) StoryVersion(id digg.StoryID) uint32        { return s.p.StoryVersion(id) }
-func (s *Store) Story(id digg.StoryID) (*digg.Story, error) { return s.p.Story(id) }
-func (s *Store) Stories() []*digg.Story                     { return s.p.Stories() }
-func (s *Store) FrontPage(limit int) []*digg.Story          { return s.p.FrontPage(limit) }
-func (s *Store) PromotedCount() int                         { return s.p.PromotedCount() }
-func (s *Store) PromotedIDs() []digg.StoryID                { return s.p.PromotedIDs() }
-func (s *Store) TopUsers(k int) []digg.UserID               { return s.p.TopUsers(k) }
-func (s *Store) Ranks() map[digg.UserID]int                 { return s.p.Ranks() }
-func (s *Store) UserRank(u digg.UserID) int                 { return s.p.UserRank(u) }
-func (s *Store) SocialGraph() *graph.Graph                  { return s.p.SocialGraph() }
-func (s *Store) Upcoming(now digg.Minutes, limit int) []*digg.Story {
-	return s.p.Upcoming(now, limit)
-}
-
-// --- commands: WAL append first, then delegate ---
+// --- commands: WAL append first, then apply ---
 
 // log stages or appends one encoded command record. Outside a batch
 // the record is appended (and fsynced per policy) before the command

@@ -55,9 +55,10 @@ func newTestPlatform(t testing.TB) *digg.Platform {
 
 // mutate drives n mixed commands through the store, including
 // rejections (double votes) and a compaction, and returns how many
-// commands were issued in total.
-func mutate(t testing.TB, s digg.Store, seed uint64, n int) int {
+// commands were issued in total. Reads go to the store's platform.
+func mutate(t testing.TB, s *Store, seed uint64, n int) int {
 	t.Helper()
+	p := s.Unwrap()
 	r := rng.New(seed)
 	issued := 0
 	for i := 0; i < n; i++ {
@@ -69,14 +70,14 @@ func mutate(t testing.TB, s digg.Store, seed uint64, n int) int {
 		case 1:
 			// Deliberate duplicate vote on story 0's submitter: usually
 			// rejected, exercising the rejected-command replay path.
-			_, _ = s.Digg(0, mustStory(t, s, 0).Submitter, digg.Minutes(100+i))
+			_, _ = s.Digg(0, mustStory(t, p, 0).Submitter, digg.Minutes(100+i))
 		case 2:
 			// Occasional compaction; later diggs on the story reject.
-			if err := s.CompactStory(digg.StoryID(r.Intn(s.NumStories()))); err != nil {
+			if err := s.CompactStory(digg.StoryID(r.Intn(p.NumStories()))); err != nil {
 				t.Fatalf("compact: %v", err)
 			}
 		default:
-			_, _ = s.Digg(digg.StoryID(r.Intn(s.NumStories())), digg.UserID(r.Intn(400)), digg.Minutes(100+i))
+			_, _ = s.Digg(digg.StoryID(r.Intn(p.NumStories())), digg.UserID(r.Intn(400)), digg.Minutes(100+i))
 		}
 		issued++
 	}
@@ -171,7 +172,7 @@ func TestCleanShutdownReplaysZeroRecords(t *testing.T) {
 	if got := s2.Recovery(); got.Replayed != 0 {
 		t.Fatalf("clean shutdown replayed %d records, want 0", got.Replayed)
 	}
-	compareStores(t, want, s2)
+	compareStores(t, want, s2.Unwrap())
 	if string(s2.Genesis()) != `{"seed":11}` {
 		t.Fatalf("genesis = %q", s2.Genesis())
 	}
@@ -203,7 +204,7 @@ func TestHardStopReplaysTail(t *testing.T) {
 	if rec.Rejected == 0 {
 		t.Fatal("expected some replayed commands to be rejected (duplicate votes)")
 	}
-	compareStores(t, want, s2)
+	compareStores(t, want, s2.Unwrap())
 
 	// The recovered store keeps accepting writes and another recovery
 	// still matches.
@@ -217,7 +218,7 @@ func TestHardStopReplaysTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	compareStores(t, want2, s3)
+	compareStores(t, want2, s3.Unwrap())
 }
 
 func TestTornTailIsTruncated(t *testing.T) {
@@ -256,7 +257,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 	if rec.Replayed != 100 {
 		t.Fatalf("replayed %d, want 100 (the torn record must not apply)", rec.Replayed)
 	}
-	compareStores(t, want, s2)
+	compareStores(t, want, s2.Unwrap())
 }
 
 func TestMidLogCorruptionFailsOpen(t *testing.T) {
@@ -383,7 +384,7 @@ func TestCheckpointPrunesLog(t *testing.T) {
 	if rec := s2.Recovery(); rec.Replayed != 40 {
 		t.Fatalf("replayed %d records, want only the 40 post-checkpoint ones", rec.Replayed)
 	}
-	compareStores(t, want, s2)
+	compareStores(t, want, s2.Unwrap())
 }
 
 func TestBatchGroupCommit(t *testing.T) {
@@ -405,7 +406,7 @@ func TestBatchGroupCommit(t *testing.T) {
 	for v := 0; v < 30; v++ {
 		_, _ = s.Digg(st.ID, digg.UserID(v%400), 201)
 	}
-	if got := s.StoryVersion(st.ID); got < 2 {
+	if got := s.Unwrap().StoryVersion(st.ID); got < 2 {
 		t.Fatalf("reads inside the batch must see its writes; version %d", got)
 	}
 	if err := s.EndBatch(); err != nil {
@@ -418,7 +419,7 @@ func TestBatchGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	compareStores(t, want, s2)
+	compareStores(t, want, s2.Unwrap())
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +523,7 @@ func TestInterruptedCreateIsCleanedUp(t *testing.T) {
 	if string(s2.Genesis()) != "fresh" {
 		t.Fatalf("recovered genesis = %q", s2.Genesis())
 	}
-	compareStores(t, want, s2)
+	compareStores(t, want, s2.Unwrap())
 }
 
 // TestStaleLogIsDropped covers a log that ends below its checkpoint's
@@ -576,7 +577,7 @@ func TestStaleLogIsDropped(t *testing.T) {
 	if rec := s2.Recovery(); rec.CheckpointLSN != ckLSN || rec.Replayed != 0 {
 		t.Fatalf("recovery %+v, want checkpoint lsn %d and nothing replayed", rec, ckLSN)
 	}
-	compareStores(t, want, s2)
+	compareStores(t, want, s2.Unwrap())
 	if got := s2.AppliedLSN(); got != ckLSN {
 		t.Fatalf("log resumes at lsn %d, want the checkpoint's %d", got, ckLSN)
 	}
@@ -596,7 +597,7 @@ func TestStaleLogIsDropped(t *testing.T) {
 	if rec := s3.Recovery(); rec.Replayed != 10 {
 		t.Fatalf("replayed %d records, want the 10 appended after the checkpoint", rec.Replayed)
 	}
-	compareStores(t, want2, s3)
+	compareStores(t, want2, s3.Unwrap())
 }
 
 // TestCheckpointDecodeRejectsJunk re-checksums every truncation of a

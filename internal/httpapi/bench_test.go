@@ -18,6 +18,7 @@ import (
 	"diggsim/internal/obs"
 	"diggsim/internal/repl"
 	"diggsim/internal/rng"
+	"diggsim/internal/shard"
 	"diggsim/internal/wal"
 )
 
@@ -117,7 +118,7 @@ func BenchmarkServedReads(b *testing.B) {
 // reads cost.
 func BenchmarkServedReadsFollower(b *testing.B) {
 	p := benchPlatform(b)
-	primary, err := durable.Create(b.TempDir(), p, []byte(`{"bench":"repl"}`), durable.Options{
+	primary, err := shard.Create(b.TempDir(), p, 1, []byte(`{"bench":"repl"}`), durable.Options{
 		Policy:          &digg.ClassicPromotion{VoteThreshold: 10, Window: digg.Day},
 		Sync:            wal.SyncOS,
 		CheckpointEvery: -1,
@@ -128,7 +129,7 @@ func BenchmarkServedReadsFollower(b *testing.B) {
 	defer primary.Close()
 
 	src := &repl.Source{
-		Shards:    []repl.SourceShard{{Dir: primary.Dir(), Head: primary.AppliedLSN}},
+		Shards:    repl.SourceShardsOf(primary),
 		Heartbeat: 10 * time.Millisecond, // dense lag observations for the quantile report
 	}
 	mux := http.NewServeMux()
@@ -151,7 +152,7 @@ func BenchmarkServedReadsFollower(b *testing.B) {
 	f.Start()
 	defer f.Stop()
 	deadline := time.Now().Add(20 * time.Second)
-	for node.Target.AppliedLSN(0) < primary.AppliedLSN() {
+	for node.Target.AppliedLSN(0) < primary.ShardAppliedLSN(0) {
 		if time.Now().After(deadline) {
 			b.Fatalf("follower never caught up (err: %v)", f.Err())
 		}
@@ -288,21 +289,35 @@ const benchVotersPerStory = 5000
 // the voters. NeverPromote keeps the write path uniform.
 func benchWritePlatform(b *testing.B, votes int) (*digg.Platform, []digg.StoryID) {
 	b.Helper()
+	p := benchWriteEmpty(b)
+	return p, benchWriteStories(b, p, votes)
+}
+
+// benchWriteEmpty is benchWritePlatform before any story.
+func benchWriteEmpty(b *testing.B) *digg.Platform {
+	b.Helper()
 	g, err := graph.FromEdgeList(benchVotersPerStory+1, [][2]graph.NodeID{{1, 0}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := digg.NewPlatform(g, digg.NeverPromote{})
-	nStories := votes/benchVotersPerStory + 1
-	ids := make([]digg.StoryID, nStories)
+	return digg.NewPlatform(g, digg.NeverPromote{})
+}
+
+// benchWriteStories submits benchWritePlatform's stories through s
+// and returns their IDs. A durable store must be seeded this way,
+// after its creation: shard.Create installs its source's stories
+// compacted, and a vote on a compacted story is rejected.
+func benchWriteStories(b *testing.B, s digg.Store, votes int) []digg.StoryID {
+	b.Helper()
+	ids := make([]digg.StoryID, votes/benchVotersPerStory+1)
 	for i := range ids {
-		st, err := p.Submit(0, fmt.Sprintf("bench-%d", i), 0.5, digg.Minutes(i))
+		st, err := s.Submit(0, fmt.Sprintf("bench-%d", i), 0.5, digg.Minutes(i))
 		if err != nil {
 			b.Fatal(err)
 		}
 		ids[i] = st.ID
 	}
-	return p, ids
+	return ids
 }
 
 // BenchmarkSingleDigg measures the write path one vote at a time:
@@ -375,16 +390,16 @@ func BenchmarkBatchDigg(b *testing.B) {
 }
 
 // BenchmarkDurableBatchDigg is BenchmarkBatchDigg with a durable store
-// (write-ahead log, -fsync interval) underneath the same batch
-// endpoint: each request's 100 votes cost one staged WAL append, with
-// fsync amortized by the background flusher. The acceptance bar is
-// >= 50% of BenchmarkBatchDigg's votes/sec — the price of surviving a
-// restart. Reads are unaffected (queries never touch the WAL), which
+// (a one-shard shard.Store, as `diggd -data-dir` serves: write-ahead
+// log, -fsync interval) underneath the same batch endpoint: each
+// request's 100 votes cost one staged WAL append, with fsync amortized
+// by the background flusher. The acceptance bar is >= 50% of
+// BenchmarkBatchDigg's votes/sec — the price of surviving a restart.
+// Reads are unaffected (queries never touch the WAL), which
 // BenchmarkServedReads* keep pinning.
 func BenchmarkDurableBatchDigg(b *testing.B) {
 	const batch = 100
-	p, stories := benchWritePlatform(b, b.N*batch)
-	store, err := durable.Create(b.TempDir(), p, []byte(`{"bench":"durable"}`), durable.Options{
+	store, err := shard.Create(b.TempDir(), benchWriteEmpty(b), 1, []byte(`{"bench":"durable"}`), durable.Options{
 		Sync:            wal.SyncInterval,
 		CheckpointEvery: -1, // measure the log path, not checkpoint stalls
 	})
@@ -392,6 +407,7 @@ func BenchmarkDurableBatchDigg(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer store.Close()
+	stories := benchWriteStories(b, store, b.N*batch)
 	srv := NewServer(store, 400, nil)
 	h := srv.Handler()
 	w := &benchWriter{h: make(http.Header, 4)}

@@ -126,7 +126,7 @@ func TestFreshnessCommitToFollower(t *testing.T) {
 	followerBase := histCount(obs.FreshnessFollowerFamily, "")
 
 	const traceID = 0x4f2a9c01d3e87b65
-	h.primary.SetWriteTrace(traceID)
+	h.primary.DurableShard(0).SetWriteTrace(traceID)
 	if _, err := h.primary.Submit(7, "freshness-probe", 0.5, 5000); err != nil {
 		t.Fatal(err)
 	}

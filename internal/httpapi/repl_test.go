@@ -24,6 +24,7 @@ import (
 	"diggsim/internal/durable"
 	"diggsim/internal/graph"
 	"diggsim/internal/repl"
+	"diggsim/internal/shard"
 	"diggsim/internal/wal"
 )
 
@@ -35,14 +36,14 @@ func replTestOpts() durable.Options {
 	}
 }
 
-// replHarness is a primary durable store serving replication, plus a
+// replHarness is a one-shard durable primary serving replication, plus a
 // follower running the HTTP API behind a stable front URL. The front
 // handler is swappable so a test can kill and restart the follower
 // while clients keep hitting the same address (as behind an LB).
 type replHarness struct {
 	t        *testing.T
 	fdir     string
-	primary  *durable.Store
+	primary  *shard.Store
 	replSrc  *repl.Source
 	replTS   *httptest.Server
 	node     *repl.Node
@@ -59,26 +60,31 @@ func newReplHarness(t *testing.T, stories int, maxLag time.Duration) *replHarnes
 		t.Fatal(err)
 	}
 	p := digg.NewPlatform(g, &digg.ClassicPromotion{VoteThreshold: 3, Window: digg.Day})
-	for i := 0; i < stories; i++ {
-		st, err := p.Submit(digg.UserID(i%50), fmt.Sprintf("story-%d", i), 0.5, digg.Minutes(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%5 == 0 {
-			_, _ = p.Digg(st.ID, digg.UserID((i+7)%50), digg.Minutes(i+2))
-			_, _ = p.Digg(st.ID, digg.UserID((i+13)%50), digg.Minutes(i+3))
-		}
-	}
 
 	h := &replHarness{t: t, fdir: t.TempDir()}
-	h.primary, err = durable.Create(t.TempDir(), p, []byte(`{"api":"repl-test"}`), replTestOpts())
+	h.primary, err = shard.Create(t.TempDir(), p, 1, []byte(`{"api":"repl-test"}`), replTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { h.primary.Close() })
+	// Seed through the store (shard.Create installs a source's stories
+	// compacted), then checkpoint so a follower bootstraps the seeds.
+	for i := 0; i < stories; i++ {
+		st, err := h.primary.Submit(digg.UserID(i%50), fmt.Sprintf("story-%d", i), 0.5, digg.Minutes(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 0 {
+			_, _ = h.primary.Digg(st.ID, digg.UserID((i+7)%50), digg.Minutes(i+2))
+			_, _ = h.primary.Digg(st.ID, digg.UserID((i+13)%50), digg.Minutes(i+3))
+		}
+	}
+	if err := h.primary.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 
 	h.replSrc = &repl.Source{
-		Shards:    []repl.SourceShard{{Dir: h.primary.Dir(), Head: h.primary.AppliedLSN, LastCommit: h.primary.LastCommit}},
+		Shards:    repl.SourceShardsOf(h.primary),
 		Heartbeat: 5 * time.Millisecond,
 		Poll:      time.Millisecond,
 	}
@@ -140,7 +146,7 @@ func (h *replHarness) killFollower() {
 // waitCaughtUp blocks until the follower applied the primary's head.
 func (h *replHarness) waitCaughtUp() {
 	h.t.Helper()
-	head := h.primary.AppliedLSN()
+	head := h.primary.ShardAppliedLSN(0)
 	deadline := time.Now().Add(20 * time.Second)
 	for h.node.Target.AppliedLSN(0) < head {
 		if time.Now().After(deadline) {
@@ -216,9 +222,9 @@ func TestFollowerServesReads(t *testing.T) {
 	if stats.Repl == nil || stats.Repl.Role != "follower" || len(stats.Repl.Shards) != 1 {
 		t.Fatalf("stats repl = %+v", stats.Repl)
 	}
-	if stats.Repl.Shards[0].AppliedLSN < h.primary.AppliedLSN() {
+	if stats.Repl.Shards[0].AppliedLSN < h.primary.ShardAppliedLSN(0) {
 		t.Fatalf("stats applied LSN %d behind primary %d",
-			stats.Repl.Shards[0].AppliedLSN, h.primary.AppliedLSN())
+			stats.Repl.Shards[0].AppliedLSN, h.primary.ShardAppliedLSN(0))
 	}
 
 	// /metrics exposes the replication gauges.

@@ -36,23 +36,6 @@ type Server struct {
 	// locked readers interleave on one mutex.
 	mu    *sync.RWMutex
 	store digg.Store
-	// batcher is the store's optional batch-grouping capability
-	// (digg.Batcher). When present — a durable store — the batch write
-	// endpoints bracket their loop in it, so all <= apiv1.MaxBatch
-	// writes of a request cost one write-ahead append and one fsync.
-	batcher digg.Batcher
-	// bulk is the store's optional concurrent bulk-write capability
-	// (digg.BulkWriter). When present — a sharded store — the batch
-	// write endpoints hand it the whole burst instead of looping, so
-	// per-shard sub-batches apply and fsync concurrently. BulkWriter
-	// manages its own batching, so the two capabilities are mutually
-	// exclusive on the write path: bulk wins when both exist.
-	bulk digg.BulkWriter
-	// sharded is the store's optional shard-layout capability
-	// (digg.Sharded). When present, cursors and read views carry the
-	// per-shard generation vector and decoded cursors are validated
-	// against the serving shard count.
-	sharded digg.Sharded
 	// graph is the store's immutable social graph, cached so the user
 	// endpoints never need the store lock or an interface call.
 	graph *graph.Graph
@@ -70,6 +53,12 @@ type Server struct {
 	// instead of calling through.
 	storeRanks bool
 	live       *live.Service
+	// diggOps, diggOuts, submitOps and submitOuts are the batch
+	// handlers' reused buffers, guarded by mu (see growBuf).
+	diggOps    []digg.DiggOp
+	diggOuts   []digg.DiggOutcome
+	submitOps  []digg.SubmitOp
+	submitOuts []digg.SubmitOutcome
 	metrics    *Metrics
 	snap       *snapshotStore
 	// reg holds this server's state families as collectors (see
@@ -98,9 +87,8 @@ type Server struct {
 	writeTrace func(uint64)
 }
 
-// NewServer wraps a digg.Store (in practice the in-memory
-// *digg.Platform; the interface is the seam future shard or replica
-// backends plug into). now is the clock used for upcoming-queue
+// NewServer wraps a digg.Store: an in-memory *digg.Platform or a
+// shard.Store, durable or not. now is the clock used for upcoming-queue
 // visibility and write operations; rankOf maps users to reputation
 // ranks for the user endpoints (nil means store-derived ranks). A
 // non-nil rankOf is called without the store lock and must be safe for
@@ -117,9 +105,6 @@ func NewServer(store digg.Store, now digg.Minutes, rankOf func(digg.UserID) int)
 		snap:   newSnapshotStore(),
 		reg:    obs.NewRegistry(),
 	}
-	s.batcher, _ = store.(digg.Batcher)
-	s.bulk, _ = store.(digg.BulkWriter)
-	s.sharded, _ = store.(digg.Sharded)
 	if rankOf == nil {
 		s.rankOf = store.UserRank
 		s.storeRanks = true

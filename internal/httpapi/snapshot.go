@@ -156,9 +156,7 @@ func (st *snapshotStore) build(p digg.Store, gen uint64) *ReadView {
 		storyVer:  make([]uint32, n),
 		promoted:  promoted,
 		queue:     make([]queueEntry, 0, n-len(promoted)),
-	}
-	if sh, ok := p.(digg.Sharded); ok {
-		v.ShardGens = sh.ShardGenerations(nil)
+		ShardGens: p.ShardGenerations(nil),
 	}
 
 	// One newest-first pass refreshes the summary cache (re-encoding

@@ -15,8 +15,9 @@
 // pre-v1 aliases were removed in v2.0 — see docs/api.md.
 //
 // The server is written against digg.Store, the command/query
-// interface of the storage layer, not the concrete *digg.Platform —
-// the seam future shard or replica backends plug into.
+// interface of the storage layer: the in-memory *digg.Platform and
+// shard.Store, which every durable node serves, take the same code
+// paths through it.
 //
 // # Read-path architecture
 //

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,11 +137,7 @@ func (s *Server) cursorPos(rawQuery string, kind apiv1.CursorKind, defPos int64)
 			"cursor is malformed or was issued by a different endpoint")
 	}
 	if kind != apiv1.CursorLinks {
-		want := 0
-		if s.sharded != nil {
-			want = s.sharded.ShardCount()
-		}
-		if len(p.ShardGens) != want {
+		if len(p.ShardGens) != s.store.ShardCount() {
 			return 0, false, newAPIError(http.StatusBadRequest, apiv1.CodeInvalidCursor,
 				"cursor was issued under a different shard layout")
 		}
@@ -589,59 +586,29 @@ func (s *Server) handleBatchDigg(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.clock()
 	results := make([]apiv1.BatchDiggResult, len(req.Diggs))
-	var werr error
 	applySpan := obs.SpanFrom(ctx, "apply")
-	if s.bulk != nil {
-		// Sharded fast path: the store partitions the burst into
-		// per-shard sub-batches and applies them concurrently, each with
-		// its own WAL append + fsync, all overlapped. BulkWriter owns
-		// the durability bracketing — no Batcher calls here.
-		ops := make([]digg.DiggOp, len(req.Diggs))
-		for i, d := range req.Diggs {
-			at := digg.Minutes(d.At)
-			if at == 0 {
-				at = now
-			}
-			ops[i] = digg.DiggOp{Story: d.Story, User: d.Voter, At: at}
+	s.mu.Lock()
+	// The store owns the durability bracketing: a sharded store applies
+	// per-shard sub-batches concurrently, each with one WAL append and
+	// one fsync. Per-item rejections come back per item.
+	ops, out := growBuf(&s.diggOps, len(req.Diggs)), growBuf(&s.diggOuts, len(req.Diggs))
+	for i, d := range req.Diggs {
+		at := digg.Minutes(d.At)
+		if at == 0 {
+			at = now
 		}
-		out := make([]digg.DiggOutcome, len(ops))
-		s.mu.Lock()
-		s.stampWriteTrace(requestTraceID(r))
-		werr = s.bulk.DiggMany(ops, out)
-		s.mu.Unlock()
-		for i, o := range out {
-			if o.Err != nil {
-				results[i].Error = errorFor(o.Err)
-				continue
-			}
-			results[i] = apiv1.BatchDiggResult{InNetwork: o.Result.InNetwork, Promoted: o.Result.Promoted, Votes: o.Result.Votes}
-		}
-	} else {
-		s.mu.Lock()
-		s.stampWriteTrace(requestTraceID(r))
-		// On a durable store the whole batch commits as one write-ahead
-		// append and one fsync (EndBatch is the durability acknowledgment);
-		// per-item rejections still report per item.
-		if s.batcher != nil {
-			s.batcher.BeginBatch()
-		}
-		for i, d := range req.Diggs {
-			at := digg.Minutes(d.At)
-			if at == 0 {
-				at = now
-			}
-			res, err := s.store.Digg(d.Story, d.Voter, at)
-			if err != nil {
-				results[i].Error = errorFor(err)
-				continue
-			}
-			results[i] = apiv1.BatchDiggResult{InNetwork: res.InNetwork, Promoted: res.Promoted, Votes: res.Votes}
-		}
-		if s.batcher != nil {
-			werr = s.batcher.EndBatch()
-		}
-		s.mu.Unlock()
+		ops[i] = digg.DiggOp{Story: d.Story, User: d.Voter, At: at}
 	}
+	s.stampWriteTrace(requestTraceID(r))
+	werr := s.store.DiggMany(ops, out)
+	for i, o := range out {
+		if o.Err != nil {
+			results[i].Error = errorFor(o.Err)
+			continue
+		}
+		results[i] = apiv1.BatchDiggResult{InNetwork: o.Result.InNetwork, Promoted: o.Result.Promoted, Votes: o.Result.Votes}
+	}
+	s.mu.Unlock()
 	applySpan.End()
 	republishSpan := obs.SpanFrom(ctx, "republish")
 	s.republish()
@@ -677,54 +644,27 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.clock()
 	results := make([]apiv1.BatchSubmitResult, len(req.Stories))
-	var werr error
 	applySpan := obs.SpanFrom(ctx, "apply")
-	if s.bulk != nil {
-		ops := make([]digg.SubmitOp, len(req.Stories))
-		for i, sub := range req.Stories {
-			at := digg.Minutes(sub.At)
-			if at == 0 {
-				at = now
-			}
-			ops[i] = digg.SubmitOp{User: sub.Submitter, Title: sub.Title, Interest: sub.Interest, At: at}
+	s.mu.Lock()
+	ops, out := growBuf(&s.submitOps, len(req.Stories)), growBuf(&s.submitOuts, len(req.Stories))
+	for i, sub := range req.Stories {
+		at := digg.Minutes(sub.At)
+		if at == 0 {
+			at = now
 		}
-		out := make([]digg.SubmitOutcome, len(ops))
-		s.mu.Lock()
-		s.stampWriteTrace(requestTraceID(r))
-		werr = s.bulk.SubmitMany(ops, out)
-		s.mu.Unlock()
-		for i, o := range out {
-			if o.Err != nil {
-				results[i].Error = errorFor(o.Err)
-				continue
-			}
-			sum := summarize(o.Story)
-			results[i].Story = &sum
-		}
-	} else {
-		s.mu.Lock()
-		s.stampWriteTrace(requestTraceID(r))
-		if s.batcher != nil {
-			s.batcher.BeginBatch()
-		}
-		for i, sub := range req.Stories {
-			at := digg.Minutes(sub.At)
-			if at == 0 {
-				at = now
-			}
-			st, err := s.store.Submit(sub.Submitter, sub.Title, sub.Interest, at)
-			if err != nil {
-				results[i].Error = errorFor(err)
-				continue
-			}
-			sum := summarize(st)
-			results[i].Story = &sum
-		}
-		if s.batcher != nil {
-			werr = s.batcher.EndBatch()
-		}
-		s.mu.Unlock()
+		ops[i] = digg.SubmitOp{User: sub.Submitter, Title: sub.Title, Interest: sub.Interest, At: at}
 	}
+	s.stampWriteTrace(requestTraceID(r))
+	werr := s.store.SubmitMany(ops, out)
+	for i, o := range out {
+		if o.Err != nil {
+			results[i].Error = errorFor(o.Err)
+			continue
+		}
+		sum := summarize(o.Story)
+		results[i].Story = &sum
+	}
+	s.mu.Unlock()
 	applySpan.End()
 	republishSpan := obs.SpanFrom(ctx, "republish")
 	s.republish()
@@ -735,4 +675,13 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, apiv1.BatchSubmitResponse{Results: results})
+}
+
+// growBuf returns *buf resliced to n elements, growing it first if it
+// is shorter. The batch handlers keep their ops and outcomes in the
+// server's buffers, used only under mu, so a batch allocates only its
+// response.
+func growBuf[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }

@@ -14,16 +14,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
+	"diggsim/internal/durable"
 	"diggsim/internal/graph"
 	"diggsim/internal/live"
 	"diggsim/internal/rng"
 	"diggsim/internal/shard"
+	"diggsim/internal/wal"
 )
 
 func TestV1EndpointsEndToEnd(t *testing.T) {
@@ -325,8 +328,9 @@ func TestV1DeepCursorFallback(t *testing.T) {
 	}
 }
 
-// TestV1InvalidCursor tampers with a genuine cursor and replays
-// cursors across endpoints; both must come back as invalid_cursor.
+// TestV1InvalidCursor tampers with a genuine cursor, replays cursors
+// across endpoints and adds a shard vector to one; all must come back
+// as invalid_cursor.
 func TestV1InvalidCursor(t *testing.T) {
 	_, ts, c := newTestServer(t)
 	ctx := context.Background()
@@ -338,6 +342,11 @@ func TestV1InvalidCursor(t *testing.T) {
 	page, err := c.StoriesAt(ctx, "", 2)
 	if err != nil || page.NextCursor == "" {
 		t.Fatalf("first page: %+v err=%v", page, err)
+	}
+	// A server over a bare platform mints cursors with no shard vector,
+	// byte for byte the token it has always minted.
+	if want := apiv1.Cursor("cwQEAQBQkd97"); page.NextCursor != want {
+		t.Errorf("next_cursor %q, want %q", page.NextCursor, want)
 	}
 
 	expectInvalid := func(url string) {
@@ -366,6 +375,13 @@ func TestV1InvalidCursor(t *testing.T) {
 	expectInvalid(ts.URL + "/v1/stories?cursor=garbage")
 	// Replay against a different endpoint family.
 	expectInvalid(ts.URL + "/v1/upcoming?cursor=" + string(page.NextCursor))
+	// A shard vector: the cursor was minted under another layout.
+	p, err := page.NextCursor.Decode(apiv1.CursorStories)
+	if err != nil || len(p.ShardGens) != 0 {
+		t.Fatalf("cursor %+v (err %v), want no shard vector", p, err)
+	}
+	p.ShardGens = []uint64{p.Gen}
+	expectInvalid(ts.URL + "/v1/stories?cursor=" + string(p.Encode()))
 
 	// The typed client surfaces the code too.
 	var apiErr *apiv1.Error
@@ -416,9 +432,59 @@ func TestV1RateLimitEnvelope(t *testing.T) {
 
 // TestV1BatchWrites exercises both batch endpoints: amortized success,
 // per-item errors that do not abort the batch, and whole-batch
-// rejection of oversized or empty requests.
+// rejection of oversized or empty requests. It runs over every store
+// shape a server takes (the in-memory platform, an in-memory 4-shard
+// store and a one-shard durable store), and all of them must return
+// the same per-item results and serve the same front page afterwards.
 func TestV1BatchWrites(t *testing.T) {
-	_, _, c := newTestServer(t)
+	g, err := graph.FromEdgeList(10, [][2]graph.NodeID{{1, 0}, {2, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &digg.ClassicPromotion{VoteThreshold: 3, Window: digg.Day}
+	stores := []struct {
+		name string
+		new  func(t *testing.T) digg.Store
+	}{
+		{"platform", func(*testing.T) digg.Store { return digg.NewPlatform(g, pol) }},
+		{"sharded", func(*testing.T) digg.Store { return shard.New(g, pol, 4) }},
+		{"durable", func(t *testing.T) digg.Store {
+			s, err := shard.Create(t.TempDir(), digg.NewPlatform(g, pol), 1, nil,
+				durable.Options{Policy: pol, Sync: wal.SyncOS, CheckpointEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}},
+	}
+	var first *batchOutcome
+	for _, sc := range stores {
+		t.Run(sc.name, func(t *testing.T) {
+			ts := httptest.NewServer(NewServer(sc.new(t), 100, nil).Handler())
+			t.Cleanup(ts.Close)
+			c := NewClient(ts.URL)
+			c.Backoff = time.Millisecond
+			got := batchWrites(t, c)
+			if first == nil {
+				first = &got
+			} else if !reflect.DeepEqual(got, *first) {
+				t.Fatalf("results differ from %s's:\n got %+v\nwant %+v", stores[0].name, got, *first)
+			}
+		})
+	}
+}
+
+// batchOutcome is what one server answered in batchWrites.
+type batchOutcome struct {
+	Subs  []apiv1.BatchSubmitResult
+	Diggs []apiv1.BatchDiggResult
+	Front []apiv1.StorySummary
+}
+
+// batchWrites runs TestV1BatchWrites' scenario against one server.
+func batchWrites(t *testing.T, c *Client) batchOutcome {
+	t.Helper()
 	ctx := context.Background()
 
 	subs, err := c.SubmitBatch(ctx, apiv1.BatchSubmitRequest{Stories: []apiv1.SubmitRequest{
@@ -486,6 +552,7 @@ func TestV1BatchWrites(t *testing.T) {
 		apiErr.Code != apiv1.CodeInvalidArgument {
 		t.Errorf("oversized batch err = %v", err)
 	}
+	return batchOutcome{Subs: subs.Results, Diggs: diggs.Results, Front: fp}
 }
 
 // counting304Transport counts 304 revalidations flowing through the

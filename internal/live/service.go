@@ -114,15 +114,10 @@ type Service struct {
 	// read handlers share it through Locker().
 	mu       sync.RWMutex
 	platform digg.Store
-	// batcher is the store's optional batch-grouping capability: when
-	// present (a durable store), each step's whole command burst —
-	// submissions, votes, compactions — commits as one write-ahead
-	// append and one fsync instead of one per command.
-	batcher digg.Batcher
-	stepper *agent.Stepper
-	rng     *rng.RNG
-	zipf    *rng.Zipf
-	byFans  []digg.UserID
+	stepper  *agent.Stepper
+	rng      *rng.RNG
+	zipf     *rng.Zipf
+	byFans   []digg.UserID
 	// nextArrival is the continuous sim-time of the next scheduled
 	// submission.
 	nextArrival float64
@@ -146,9 +141,10 @@ type Service struct {
 	afterStep func()
 }
 
-// NewService wraps a digg.Store (typically a *digg.Platform carrying a
-// pregenerated corpus) in a live service. The store must not be
-// mutated by anyone else except through the service's lock.
+// NewService wraps a digg.Store carrying a pregenerated corpus (a
+// *digg.Platform, or the shard.Store a durable node serves) in a live
+// service. The store must not be mutated by anyone else except through
+// the service's lock.
 func NewService(p digg.Store, cfg Config) (*Service, error) {
 	if p == nil {
 		return nil, errors.New("live: nil platform")
@@ -170,7 +166,6 @@ func NewService(p digg.Store, cfg Config) (*Service, error) {
 		rng:      r,
 		byFans:   graph.TopByInDegree(p.SocialGraph(), p.SocialGraph().NumNodes()),
 	}
-	s.batcher, _ = p.(digg.Batcher)
 	s.zipf = rng.NewZipf(r, len(s.byFans), cfg.SubmitterZipfS)
 	s.nextArrival = float64(cfg.StartAt) + r.ExpGap(cfg.SubmissionsPerHour/60)
 	s.simNow.Store(int64(cfg.StartAt))
@@ -225,10 +220,10 @@ func (s *Service) Run(ctx context.Context) error {
 // deterministic test seam — Run merely calls it on a ticker — and is
 // a no-op when simNow is not ahead of the current sim time.
 //
-// When the store supports batch grouping (digg.Batcher — the durable
-// store does), the step's whole command burst is bracketed in one
-// batch, so a tick costs one write-ahead append and one fsync no
-// matter how many votes land in it.
+// The step's whole command burst — submissions, votes, compactions —
+// is bracketed in one store batch, so on a durable store a tick costs
+// one write-ahead append and one fsync per shard it touched, no matter
+// how many votes land in it.
 func (s *Service) StepTo(simNow digg.Minutes) error {
 	if simNow <= s.Now() {
 		return nil
@@ -237,14 +232,10 @@ func (s *Service) StepTo(simNow digg.Minutes) error {
 
 	stepStart := time.Now()
 	s.mu.Lock()
-	if s.batcher != nil {
-		s.batcher.BeginBatch()
-	}
+	s.platform.BeginBatch()
 	err := s.stepLocked(simNow, &out)
-	if s.batcher != nil {
-		if berr := s.batcher.EndBatch(); err == nil {
-			err = berr
-		}
+	if berr := s.platform.EndBatch(); err == nil {
+		err = berr
 	}
 	s.mu.Unlock()
 

@@ -51,9 +51,6 @@ func (n *Node) Store() digg.Store { return n.Sharded }
 // Close closes the underlying store.
 func (n *Node) Close() error { return n.Sharded.Close() }
 
-// Checkpoint checkpoints the underlying store.
-func (n *Node) Checkpoint() error { return n.Sharded.Checkpoint() }
-
 // SourceShards returns the node's own streaming surface, so a
 // follower can itself serve the replication endpoints (election reads
 // status from them; a promoted follower starts streaming to the

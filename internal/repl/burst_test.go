@@ -42,11 +42,11 @@ func TestFollowerAppliesBurstWithoutScheduledBeat(t *testing.T) {
 // so a follower records contact without waiting for a write or a beat.
 func TestTailReturnsOnIdleShard(t *testing.T) {
 	pr := startPrimaryBeating(t, 1, time.Hour)
-	mutate(t, pr.durable, 131, 5)
+	mutate(t, pr.store(), 131, 5)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	start := time.Now()
-	rc, err := pr.transport().Tail(ctx, 0, pr.durable.AppliedLSN())
+	rc, err := pr.transport().Tail(ctx, 0, pr.heads()[0])
 	if err != nil {
 		t.Fatalf("Tail on an idle shard: %v after %v", err, time.Since(start))
 	}
@@ -55,8 +55,8 @@ func TestTailReturnsOnIdleShard(t *testing.T) {
 
 func TestSourceEndsEachBurstWithOneHeartbeat(t *testing.T) {
 	pr := startPrimaryBeating(t, 1, time.Hour)
-	ds := pr.durable
-	mutate(t, ds, 121, 20)
+	s, ds := pr.sharded, pr.sharded.DurableShard(0)
+	mutate(t, s, 121, 20)
 	h0 := ds.AppliedLSN()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -110,9 +110,9 @@ func TestSourceEndsEachBurstWithOneHeartbeat(t *testing.T) {
 	burst := func(seed uint64) {
 		t.Helper()
 		from := ds.AppliedLSN()
-		ds.BeginBatch()
-		mutate(t, ds, seed, 12)
-		if err := ds.EndBatch(); err != nil {
+		s.BeginBatch()
+		mutate(t, s, seed, 12)
+		if err := s.EndBatch(); err != nil {
 			t.Fatal(err)
 		}
 		head := ds.AppliedLSN()

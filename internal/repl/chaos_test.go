@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"diggsim/internal/durable"
+	"diggsim/internal/shard"
 )
 
 func TestChaosFaultyTransport(t *testing.T) {
@@ -122,7 +122,7 @@ func TestChaosFailoverAndRejoin(t *testing.T) {
 
 	// A dies. Failover: B is promoted and starts taking writes.
 	prA.stopServe()
-	if err := prA.durable.Close(); err != nil {
+	if err := prA.sharded.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := fB.Promote(); err != nil {
@@ -215,7 +215,7 @@ func TestChaosFollowerCheckpointsIndependently(t *testing.T) {
 	}
 	// The follower's directory recovers standalone — checkpoints are
 	// real checkpoints.
-	s, err := durable.Open(fdir, testOpts())
+	s, err := shard.Open(fdir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

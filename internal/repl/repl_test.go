@@ -37,26 +37,33 @@ func testOpts() durable.Options {
 	return durable.Options{Policy: testPolicy(), Sync: wal.SyncOS, CheckpointEvery: -1}
 }
 
-// newTestPlatform builds a small deterministic platform with some
-// pre-replication history.
+// newTestPlatform builds the empty platform every test primary is
+// created from: a small deterministic graph under testPolicy.
 func newTestPlatform(t testing.TB) *digg.Platform {
 	t.Helper()
 	g, err := graph.PreferentialAttachment(rng.New(11), 400, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := digg.NewPlatform(g, testPolicy())
+	return digg.NewPlatform(g, testPolicy())
+}
+
+// seedHistory drives a small deterministic pre-replication history
+// through s. A primary is seeded after its creation, because
+// shard.Create installs its source's stories compacted and a vote on a
+// compacted story is rejected.
+func seedHistory(t testing.TB, s digg.Store) {
+	t.Helper()
 	r := rng.New(12)
 	for i := 0; i < 8; i++ {
-		st, err := p.Submit(digg.UserID(r.Intn(400)), "seed-story", 0.4, digg.Minutes(i*5))
+		st, err := s.Submit(digg.UserID(r.Intn(400)), "seed-story", 0.4, digg.Minutes(i*5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < 2+r.Intn(6); v++ {
-			_, _ = p.Digg(st.ID, digg.UserID(r.Intn(400)), digg.Minutes(i*5+v+1))
+			_, _ = s.Digg(st.ID, digg.UserID(r.Intn(400)), digg.Minutes(i*5+v+1))
 		}
 	}
-	return p
 }
 
 // mutate drives n mixed commands through a store: submissions, votes
@@ -158,38 +165,17 @@ type testPrimary struct {
 	t         testing.TB
 	dir       string
 	heartbeat time.Duration // the source's scheduled heartbeat cadence
-	durable   *durable.Store
 	sharded   *shard.Store
 	src       *Source
 	ts        *httptest.Server
 }
 
-func (p *testPrimary) store() digg.Store {
-	if p.sharded != nil {
-		return p.sharded
-	}
-	return p.durable
-}
+func (p *testPrimary) store() digg.Store { return p.sharded }
 
 func (p *testPrimary) heads() []uint64 {
-	if p.sharded == nil {
-		return []uint64{p.durable.AppliedLSN()}
-	}
 	out := make([]uint64, p.sharded.ShardCount())
 	for i := range out {
 		out[i] = p.sharded.ShardAppliedLSN(i)
-	}
-	return out
-}
-
-func (p *testPrimary) sourceShards() []SourceShard {
-	if p.sharded == nil {
-		return []SourceShard{{Dir: p.durable.Dir(), Head: p.durable.AppliedLSN, LastCommit: p.durable.LastCommit}}
-	}
-	out := make([]SourceShard, p.sharded.ShardCount())
-	for i := range out {
-		ds := p.sharded.DurableShard(i)
-		out[i] = SourceShard{Dir: ds.Dir(), Head: ds.AppliedLSN, LastCommit: ds.LastCommit}
 	}
 	return out
 }
@@ -198,7 +184,7 @@ func (p *testPrimary) sourceShards() []SourceShard {
 // listener.
 func (p *testPrimary) serve() {
 	p.src = &Source{
-		Shards:    p.sourceShards(),
+		Shards:    SourceShardsOf(p.sharded),
 		Heartbeat: p.heartbeat,
 		Poll:      time.Millisecond,
 	}
@@ -229,23 +215,18 @@ func startPrimary(t testing.TB, shards int) *testPrimary {
 func startPrimaryBeating(t testing.TB, shards int, hb time.Duration) *testPrimary {
 	t.Helper()
 	p := &testPrimary{t: t, dir: t.TempDir(), heartbeat: hb}
-	plat := newTestPlatform(t)
 	var err error
-	if shards <= 1 {
-		p.durable, err = durable.Create(p.dir, plat, []byte(`{"repl":"test"}`), testOpts())
-	} else {
-		p.sharded, err = shard.Create(p.dir, plat, shards, []byte(`{"repl":"test"}`), testOpts())
-	}
+	p.sharded, err = shard.Create(p.dir, newTestPlatform(t), shards, []byte(`{"repl":"test"}`), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if p.sharded != nil {
-			p.sharded.Close()
-		} else {
-			p.durable.Close()
-		}
-	})
+	t.Cleanup(func() { p.sharded.Close() })
+	// Seed, then checkpoint so the seeds sit in each shard's checkpoint
+	// as a created store's history does.
+	seedHistory(t, p.sharded)
+	if err := p.sharded.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	p.serve()
 	return p
 }
@@ -316,12 +297,18 @@ func underRLock(f *Follower, fn func()) {
 
 func TestFollowerReplicatesDurable(t *testing.T) {
 	pr := startPrimary(t, 1)
+	seeded := len(pr.store().PromotedIDs())
 	mutate(t, pr.store(), 21, 300)
 
 	fdir := t.TempDir()
 	node, f := startFollower(t, pr.transport(), fdir)
 
 	mutate(t, pr.store(), 22, 300)
+	// The exact promotion-order check below only covers promotions
+	// the random votes cause.
+	if got := len(pr.store().PromotedIDs()); got <= seeded {
+		t.Fatalf("random votes promoted nothing: %d promotions after seeding, %d now", seeded, got)
+	}
 	waitCaughtUp(t, f, pr.heads())
 	underRLock(f, func() { compareStores(t, pr.store(), node.Store()) })
 
@@ -583,7 +570,7 @@ func TestFollowerSurvivesPrimaryRestart(t *testing.T) {
 	// follower keeps serving its applied state and retries with
 	// backoff.
 	pr.stopServe()
-	if err := pr.durable.Close(); err != nil {
+	if err := pr.sharded.Close(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
@@ -596,7 +583,7 @@ func TestFollowerSurvivesPrimaryRestart(t *testing.T) {
 	// Primary restarts from its own disk on a new port; the follower's
 	// next retry resumes the stream from its applied LSN.
 	var err error
-	pr.durable, err = durable.Open(pr.dir, testOpts())
+	pr.sharded, err = shard.Open(pr.dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +601,7 @@ func TestTailBelowRetentionIsGone(t *testing.T) {
 	pr := startPrimary(t, 1)
 	mutate(t, pr.store(), 51, 300)
 	// Checkpoint prunes the log below the head; LSN 0 is gone.
-	if err := pr.durable.Checkpoint(); err != nil {
+	if err := pr.sharded.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	_, err := pr.transport().Tail(context.Background(), 0, 0)
@@ -646,7 +633,7 @@ func TestStaleFollowerMustRebootstrap(t *testing.T) {
 	// While the follower is down the primary moves on AND prunes its
 	// log past the follower's position.
 	mutate(t, pr.store(), 62, 300)
-	if err := pr.durable.Checkpoint(); err != nil {
+	if err := pr.sharded.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -693,7 +680,7 @@ func TestDivergedFollowerIsWipedOnBootstrap(t *testing.T) {
 
 	// The ex-follower takes writes of its own (a split brain, a botched
 	// manual promotion): its log is now ahead of the primary's.
-	rogue, err := durable.Open(fdir, testOpts())
+	rogue, err := shard.Open(fdir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +730,7 @@ func TestPromoteLiftsFenceAndAcceptsWrites(t *testing.T) {
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := durable.Open(fdir, testOpts())
+	reopened, err := shard.Open(fdir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -885,7 +872,7 @@ func TestSeedReplicaRefusesExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.NumStories() != pr.store().NumStories() {
-		t.Fatalf("seeded stories = %d, want %d", s.NumStories(), pr.store().NumStories())
+	if got := s.Unwrap().NumStories(); got != pr.store().NumStories() {
+		t.Fatalf("seeded stories = %d, want %d", got, pr.store().NumStories())
 	}
 }

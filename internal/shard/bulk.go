@@ -1,10 +1,10 @@
 package shard
 
-// bulk.go is where the multi-core write throughput lives: the Batcher
-// capability fans one burst's durability cost out to one WAL append +
-// fsync per shard (committed concurrently), and the BulkWriter
-// capability additionally applies the burst's commands concurrently,
-// one goroutine per shard with work.
+// bulk.go is where the multi-core write throughput lives: the batch
+// bracket fans one burst's durability cost out to one WAL append +
+// fsync per shard (committed concurrently), and DiggMany/SubmitMany
+// additionally apply the burst's commands concurrently, one goroutine
+// per shard with work.
 
 import (
 	"fmt"
@@ -12,35 +12,34 @@ import (
 	"time"
 
 	"diggsim/internal/digg"
-	"diggsim/internal/durable"
 )
 
-// BeginBatch opens a batch on every durable shard. In-memory shards
-// need no bracketing.
+// BeginBatch opens a batch on every shard (a no-op on an in-memory
+// one).
 func (s *Store) BeginBatch() {
-	for _, ds := range s.stores {
-		if ds != nil {
-			ds.BeginBatch()
-		}
+	for _, sh := range s.shards {
+		sh.BeginBatch()
 	}
 }
 
 // EndBatch commits every shard's staged batch concurrently — the
 // fsyncs overlap — and returns the first error. A serial caller (the
 // live service's per-tick bracket) thus pays roughly one fsync of
-// latency per tick no matter how many shards its writes landed on.
+// latency per tick no matter how many shards its writes landed on. An
+// in-memory store stages nothing, so it returns at once rather than
+// start a goroutine per shard on every tick.
 func (s *Store) EndBatch() error {
+	if s.stores[0] == nil {
+		return nil
+	}
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
-	for i, ds := range s.stores {
-		if ds == nil {
-			continue
-		}
+	for i, sh := range s.shards {
 		wg.Add(1)
-		go func(i int, ds *durable.Store) {
+		go func(i int, sh shardWriter) {
 			defer wg.Done()
-			errs[i] = ds.EndBatch()
-		}(i, ds)
+			errs[i] = sh.EndBatch()
+		}(i, sh)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -75,9 +74,7 @@ func (s *Store) DiggMany(ops []digg.DiggOp, out []digg.DiggOutcome) error {
 			defer wg.Done()
 			applyStart := time.Now()
 			shard := s.shards[sh]
-			if ds := s.stores[sh]; ds != nil {
-				ds.BeginBatch()
-			}
+			shard.BeginBatch()
 			applied := uint64(0)
 			for _, i := range idxs {
 				op := ops[i]
@@ -89,9 +86,7 @@ func (s *Store) DiggMany(ops []digg.DiggOp, out []digg.DiggOutcome) error {
 				applied++
 			}
 			s.stats[sh].writes.Add(applied)
-			if ds := s.stores[sh]; ds != nil {
-				errs[sh] = ds.EndBatch()
-			}
+			errs[sh] = shard.EndBatch()
 			s.applyHist[sh].Observe(time.Since(applyStart))
 		}(sh, idxs)
 	}
@@ -160,18 +155,14 @@ func (s *Store) SubmitMany(ops []digg.SubmitOp, out []digg.SubmitOutcome) error 
 			defer wg.Done()
 			applyStart := time.Now()
 			shard := s.shards[sh]
-			if ds := s.stores[sh]; ds != nil {
-				ds.BeginBatch()
-			}
+			shard.BeginBatch()
 			for _, i := range idxs {
 				op := ops[i]
 				st, err := shard.Submit(op.User, op.Title, op.Interest, op.At)
 				out[i] = digg.SubmitOutcome{Story: st, Err: err}
 			}
 			s.stats[sh].writes.Add(uint64(len(idxs)))
-			if ds := s.stores[sh]; ds != nil {
-				errs[sh] = ds.EndBatch()
-			}
+			errs[sh] = shard.EndBatch()
 			s.applyHist[sh].Observe(time.Since(applyStart))
 		}(sh, idxs)
 	}

@@ -5,8 +5,8 @@ package shard
 // shard-0000 ... shard-NNNN, each fully self-describing (its own
 // graph file, checkpoints and WAL; the checkpointed platform state
 // carries the shard's ID scheme). A one-shard store keeps its shard at
-// the root of the data directory instead, which is the layout of an
-// unsharded durable.Store, so such a directory opens as a one-shard
+// the root of the data directory instead, which is the layout of a
+// single durable.Store, so such a directory opens as a one-shard
 // store. Recovery opens every shard independently, cuts every shard
 // back to the dense prefix of the merged global ID sequence (see cut)
 // and folds the shards into the merged views (see fold).
@@ -182,17 +182,16 @@ func openShards(dir string, opts durable.Options) (*Store, error) {
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
 		stores[i] = ds
-		if i == 0 {
-			// Every shard persists the same graph; decode it once and
-			// share the instance.
-			opts.Graph = ds.SocialGraph()
-		}
-		if off, step := ds.Unwrap().IDScheme(); off != digg.StoryID(i) || step != digg.StoryID(n) {
+		p := ds.Unwrap()
+		// Every shard persists the same graph; decode it once and share
+		// the instance.
+		opts.Graph = p.SocialGraph()
+		if off, step := p.IDScheme(); off != digg.StoryID(i) || step != digg.StoryID(n) {
 			closeShards(stores[:i+1])
 			return nil, fmt.Errorf("shard: shard %d recovered with ID scheme %d/%d, want %d/%d", i, off, step, i, n)
 		}
 	}
-	s := New(stores[0].SocialGraph(), opts.Policy, n)
+	s := New(opts.Graph, opts.Policy, n)
 	for i, ds := range stores {
 		s.stores[i] = ds
 		s.shards[i] = ds

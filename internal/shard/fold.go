@@ -36,7 +36,6 @@ func (s *Store) fold() {
 			s.stories = append(s.stories, s.plats[id%s.n].Stories()[id/s.n])
 		}
 	}
-	released := false
 	for {
 		best := -1
 		var bestID digg.StoryID
@@ -56,11 +55,7 @@ func (s *Store) fold() {
 		}
 		s.folded[best]++
 		s.promoted = append(s.promoted, bestID)
-		s.promotedBySubmitter[s.stories[bestID].Submitter]++
-		released = true
-	}
-	if released {
-		s.invalidateRanks()
+		s.rank.Promote(s.stories[bestID].Submitter)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package shard scales the write path across cores: a shard.Store
 // implements digg.Store by partitioning stories over N shard-local
-// *digg.Platform instances (optionally each wrapped in its own
+// *digg.Platform instances (optionally each logged by its own
 // durable.Store with a private WAL directory), so concurrent write
 // bursts never contend on one lock or one fsync. It is also the only
 // durable store shape: an unsharded durable node is a one-shard Store
@@ -20,15 +20,15 @@
 // upcoming, cursors over stories — behaves exactly as on a single
 // platform, and the serving layer's pre-rendered snapshots work
 // unchanged. Both views grow through one fold (fold.go), whichever
-// path changed the shards. The reputation ranking is recomputed from
-// the merged promotion tally with the same ordering rules as
-// digg.Platform.
+// path changed the shards. The reputation ranking is a digg.Ranking
+// over the merged promotion order, so it orders users exactly as a
+// single platform would.
 //
 // The composite generation is the sum of the per-shard generations:
 // every mutation increments exactly one shard's generation, so the
 // sum is strictly monotonic and equal sums imply identical state
 // within a process lifetime. The per-shard generation vector
-// (digg.Sharded) additionally stamps read views and cursors so
+// (ShardGenerations) additionally stamps read views and cursors so
 // pagination guarantees survive sharding.
 //
 // Concurrency contract: identical to digg.Platform — single-writer
@@ -39,8 +39,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"diggsim/internal/digg"
@@ -55,13 +53,24 @@ import (
 var histMerge = obs.Default.Histogram("diggsim_shard_merge_seconds", "",
 	"Scatter-gather merge latency after a bulk apply (promotion merge, story-sequence extension).")
 
+// shardWriter is what a write routes to on one shard: the shard's
+// *digg.Platform when in memory, or the *durable.Store that logs each
+// command before applying it to that platform.
+type shardWriter interface {
+	Submit(u digg.UserID, title string, interest float64, t digg.Minutes) (*digg.Story, error)
+	InstallStory(st *digg.Story) error
+	Digg(id digg.StoryID, u digg.UserID, t digg.Minutes) (digg.DiggResult, error)
+	CompactStory(id digg.StoryID) error
+	digg.Batcher
+}
+
 // Store is an N-way sharded digg.Store.
 type Store struct {
 	n      int
 	graph  *graph.Graph
-	shards []digg.Store     // the per-shard stores writes route to
-	plats  []*digg.Platform // the shards' platforms (always non-nil)
-	stores []*durable.Store // per-shard durable wrappers, nil when in-memory
+	shards []shardWriter    // the per-shard writers writes route to
+	plats  []*digg.Platform // the shards' platforms, which every read uses
+	stores []*durable.Store // per-shard durable stores, nil when in-memory
 
 	// stories is the merged story sequence, index == global story ID.
 	// Like Platform.Stories it is shared and append-only.
@@ -72,12 +81,8 @@ type Store struct {
 	promoted []digg.StoryID
 	folded   []int
 
-	// Merged reputation state, maintained with the same rules and
-	// locking discipline as digg.Platform's.
-	promotedBySubmitter map[digg.UserID]int
-	rankMu              sync.Mutex
-	rankCache           map[digg.UserID]int
-	rankedCache         []digg.UserID
+	// rank is the reputation ranking over the merged promotion order.
+	rank *digg.Ranking
 
 	// stats holds per-shard write/replay counters for /metrics. The
 	// write counters are atomics because DiggMany/SubmitMany increment
@@ -107,14 +112,7 @@ type Stat struct {
 	Replayed uint64
 }
 
-// Store implements the full store seam including the sharded
-// capabilities.
-var (
-	_ digg.Store      = (*Store)(nil)
-	_ digg.Batcher    = (*Store)(nil)
-	_ digg.BulkWriter = (*Store)(nil)
-	_ digg.Sharded    = (*Store)(nil)
-)
+var _ digg.Store = (*Store)(nil)
 
 // New creates an empty in-memory sharded store over the given social
 // graph with n shards (n >= 1) and the given promotion policy (nil
@@ -124,15 +122,15 @@ func New(g *graph.Graph, policy digg.PromotionPolicy, n int) *Store {
 		panic(fmt.Sprintf("shard: invalid shard count %d", n))
 	}
 	s := &Store{
-		n:                   n,
-		graph:               g,
-		shards:              make([]digg.Store, n),
-		plats:               make([]*digg.Platform, n),
-		stores:              make([]*durable.Store, n),
-		promotedBySubmitter: make(map[digg.UserID]int),
-		stats:               make([]shardCounters, n),
-		applyHist:           make([]*obs.Histogram, n),
-		folded:              make([]int, n),
+		n:         n,
+		graph:     g,
+		shards:    make([]shardWriter, n),
+		plats:     make([]*digg.Platform, n),
+		stores:    make([]*durable.Store, n),
+		rank:      digg.NewRanking(g),
+		stats:     make([]shardCounters, n),
+		applyHist: make([]*obs.Histogram, n),
+		folded:    make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		s.applyHist[i] = obs.Default.Histogram("diggsim_shard_apply_seconds",
@@ -170,7 +168,7 @@ func FromPlatform(src *digg.Platform, n int) (*Store, error) {
 	// install order so front-page output is identical post-split.
 	s.promoted = append(s.promoted, src.PromotedIDs()...)
 	for _, id := range s.promoted {
-		s.promotedBySubmitter[s.stories[id].Submitter]++
+		s.rank.Promote(s.stories[id].Submitter)
 	}
 	for i, p := range s.plats {
 		s.folded[i] = len(p.PromotedIDs())
@@ -183,8 +181,8 @@ func (s *Store) ShardCount() int { return s.n }
 
 // ShardGenerations appends the per-shard generation vector to dst.
 func (s *Store) ShardGenerations(dst []uint64) []uint64 {
-	for _, sh := range s.shards {
-		dst = append(dst, sh.Generation())
+	for _, p := range s.plats {
+		dst = append(dst, p.Generation())
 	}
 	return dst
 }
@@ -196,7 +194,7 @@ func (s *Store) Stats() []Stat {
 		out[i] = Stat{
 			Shard:      i,
 			Stories:    s.plats[i].NumStories(),
-			Generation: s.shards[i].Generation(),
+			Generation: s.plats[i].Generation(),
 			Writes:     s.stats[i].writes.Load(),
 			Replayed:   s.stats[i].replayed,
 		}
@@ -220,8 +218,8 @@ func (s *Store) shardOf(id digg.StoryID) int { return int(id) % s.n }
 // sum is strictly monotonic and equal sums imply identical state.
 func (s *Store) Generation() uint64 {
 	var g uint64
-	for _, sh := range s.shards {
-		g += sh.Generation()
+	for _, p := range s.plats {
+		g += p.Generation()
 	}
 	return g
 }
@@ -234,7 +232,7 @@ func (s *Store) StoryVersion(id digg.StoryID) uint32 {
 	if id < 0 || int(id) >= len(s.stories) {
 		return 0
 	}
-	return s.shards[s.shardOf(id)].StoryVersion(id)
+	return s.plats[s.shardOf(id)].StoryVersion(id)
 }
 
 // Story returns the story with the given global ID.
@@ -289,91 +287,14 @@ func (s *Store) Upcoming(now digg.Minutes, limit int) []*digg.Story {
 // SocialGraph returns the shared immutable social graph.
 func (s *Store) SocialGraph() *graph.Graph { return s.graph }
 
-// rankedLocked computes the merged reputation ordering with the same
-// rules as digg.Platform: promoted submissions desc, fan count desc,
-// user ID asc. Callers hold rankMu.
-func (s *Store) rankedLocked() []digg.UserID {
-	if s.rankedCache != nil {
-		return s.rankedCache
-	}
-	type entry struct {
-		u        digg.UserID
-		promoted int
-	}
-	entries := make([]entry, 0, len(s.promotedBySubmitter))
-	for u, c := range s.promotedBySubmitter {
-		entries = append(entries, entry{u, c})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].promoted != entries[j].promoted {
-			return entries[i].promoted > entries[j].promoted
-		}
-		fi, fj := s.graph.InDegree(entries[i].u), s.graph.InDegree(entries[j].u)
-		if fi != fj {
-			return fi > fj
-		}
-		return entries[i].u < entries[j].u
-	})
-	ranked := make([]digg.UserID, len(entries))
-	for i, e := range entries {
-		ranked[i] = e.u
-	}
-	s.rankedCache = ranked
-	return ranked
-}
-
 // TopUsers returns up to k users from the merged reputation ranking.
-func (s *Store) TopUsers(k int) []digg.UserID {
-	s.rankMu.Lock()
-	ranked := s.rankedLocked()
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	if k < 0 {
-		k = 0
-	}
-	out := make([]digg.UserID, k)
-	copy(out, ranked[:k])
-	s.rankMu.Unlock()
-	return out
-}
+func (s *Store) TopUsers(k int) []digg.UserID { return s.rank.TopUsers(k) }
 
 // Ranks returns the shared, immutable merged user -> rank map.
-func (s *Store) Ranks() map[digg.UserID]int {
-	s.rankMu.Lock()
-	defer s.rankMu.Unlock()
-	if s.rankCache == nil {
-		ranked := s.rankedLocked()
-		m := make(map[digg.UserID]int, len(ranked))
-		for i, u := range ranked {
-			m[u] = i + 1
-		}
-		s.rankCache = m
-	}
-	return s.rankCache
-}
+func (s *Store) Ranks() map[digg.UserID]int { return s.rank.Ranks() }
 
 // UserRank returns u's merged 1-based rank (0 if unranked).
-func (s *Store) UserRank(u digg.UserID) int {
-	s.rankMu.Lock()
-	defer s.rankMu.Unlock()
-	if s.rankCache == nil {
-		ranked := s.rankedLocked()
-		m := make(map[digg.UserID]int, len(ranked))
-		for i, t := range ranked {
-			m[t] = i + 1
-		}
-		s.rankCache = m
-	}
-	return s.rankCache[u]
-}
-
-func (s *Store) invalidateRanks() {
-	s.rankMu.Lock()
-	s.rankCache = nil
-	s.rankedCache = nil
-	s.rankMu.Unlock()
-}
+func (s *Store) UserRank(u digg.UserID) int { return s.rank.UserRank(u) }
 
 // --- commands ---
 

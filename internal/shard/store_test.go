@@ -23,8 +23,12 @@ func testGraph(t testing.TB) *graph.Graph {
 }
 
 // mutate drives n mixed commands through a store: submissions, votes
-// (including deliberate duplicates), and occasional compactions.
-func mutate(t testing.TB, s digg.Store, seed uint64, n int) {
+// (including deliberate duplicates), and occasional compactions. A
+// bare durable store goes in through logged.
+func mutate(t testing.TB, s interface {
+	shardWriter
+	NumStories() int
+}, seed uint64, n int) {
 	t.Helper()
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
@@ -192,14 +196,20 @@ func TestFromPlatformRejectsShardedSource(t *testing.T) {
 }
 
 // TestBulkMatchesSerial applies the same ops through DiggMany /
-// SubmitMany on a sharded store and serially on a single platform;
-// outcomes and final state must agree. Vote timestamps increase in op
-// order so the deterministic (PromotedAt, ID) promotion merge matches
-// the serial promotion order.
+// SubmitMany on a sharded store, and on a platform, and serially on a
+// single platform; outcomes and final state must agree. Vote
+// timestamps increase in op order so the deterministic (PromotedAt,
+// ID) promotion merge matches the serial promotion order.
 func TestBulkMatchesSerial(t *testing.T) {
 	g := testGraph(t)
 	single := digg.NewPlatform(g, testPolicy())
-	sharded := New(g, testPolicy(), 4)
+	bulk := []struct {
+		name  string
+		store digg.Store
+	}{
+		{"sharded", New(g, testPolicy(), 4)},
+		{"platform", digg.NewPlatform(g, testPolicy())},
+	}
 	r := rng.New(21)
 
 	subs := make([]digg.SubmitOp, 40)
@@ -210,17 +220,23 @@ func TestBulkMatchesSerial(t *testing.T) {
 		}
 		subs[i] = digg.SubmitOp{User: u, Title: "bulk", Interest: 0.5, At: digg.Minutes(i)}
 	}
-	subOut := make([]digg.SubmitOutcome, len(subs))
-	if err := sharded.SubmitMany(subs, subOut); err != nil {
-		t.Fatal(err)
-	}
+	subWant := make([]digg.SubmitOutcome, len(subs))
 	for i, op := range subs {
 		st, err := single.Submit(op.User, op.Title, op.Interest, op.At)
-		if (err != nil) != (subOut[i].Err != nil) {
-			t.Fatalf("submit %d: sharded err %v, single err %v", i, subOut[i].Err, err)
+		subWant[i] = digg.SubmitOutcome{Story: st, Err: err}
+	}
+	for _, b := range bulk {
+		subOut := make([]digg.SubmitOutcome, len(subs))
+		if err := b.store.SubmitMany(subs, subOut); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil && st.ID != subOut[i].Story.ID {
-			t.Fatalf("submit %d: sharded id %d, single id %d", i, subOut[i].Story.ID, st.ID)
+		for i, want := range subWant {
+			if (want.Err != nil) != (subOut[i].Err != nil) {
+				t.Fatalf("%s submit %d: bulk err %v, single err %v", b.name, i, subOut[i].Err, want.Err)
+			}
+			if want.Err == nil && !reflect.DeepEqual(want.Story, subOut[i].Story) {
+				t.Fatalf("%s submit %d: bulk %+v, single %+v", b.name, i, subOut[i].Story, want.Story)
+			}
 		}
 	}
 
@@ -232,23 +248,28 @@ func TestBulkMatchesSerial(t *testing.T) {
 		}
 		diggs[i] = digg.DiggOp{Story: id, User: digg.UserID(r.Intn(400)), At: digg.Minutes(1000 + i)}
 	}
-	diggOut := make([]digg.DiggOutcome, len(diggs))
-	if err := sharded.DiggMany(diggs, diggOut); err != nil {
-		t.Fatal(err)
-	}
+	diggWant := make([]digg.DiggOutcome, len(diggs))
 	for i, op := range diggs {
 		res, err := single.Digg(op.Story, op.User, op.At)
-		if (err != nil) != (diggOut[i].Err != nil) {
-			t.Fatalf("digg %d: sharded err %v, single err %v", i, diggOut[i].Err, err)
-		}
-		if err == nil && res != diggOut[i].Result {
-			t.Fatalf("digg %d: sharded %+v, single %+v", i, diggOut[i].Result, res)
-		}
+		diggWant[i] = digg.DiggOutcome{Result: res, Err: err}
 	}
-
-	compareStores(t, single, sharded)
-	if single.Generation() != sharded.Generation() {
-		t.Fatalf("generation: sharded %d, single %d", sharded.Generation(), single.Generation())
+	for _, b := range bulk {
+		diggOut := make([]digg.DiggOutcome, len(diggs))
+		if err := b.store.DiggMany(diggs, diggOut); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range diggWant {
+			if (want.Err != nil) != (diggOut[i].Err != nil) {
+				t.Fatalf("%s digg %d: bulk err %v, single err %v", b.name, i, diggOut[i].Err, want.Err)
+			}
+			if want.Err == nil && want.Result != diggOut[i].Result {
+				t.Fatalf("%s digg %d: bulk %+v, single %+v", b.name, i, diggOut[i].Result, want.Result)
+			}
+		}
+		compareStores(t, single, b.store)
+		if single.Generation() != b.store.Generation() {
+			t.Fatalf("%s generation: bulk %d, single %d", b.name, b.store.Generation(), single.Generation())
+		}
 	}
 }
 
